@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p od-bench --bin reproduce                    # all experiments
-//! cargo run --release -p od-bench --bin reproduce -- e4              # a single experiment (e1..e9, e12, e13)
+//! cargo run --release -p od-bench --bin reproduce -- e4              # a single experiment (e1..e9, e12..e16)
 //! cargo run --release -p od-bench --bin reproduce -- --tiny          # small data sizes (quick smoke run)
 //! cargo run --release -p od-bench --bin reproduce -- e13 --max-context 5
 //! #                       deepest lattice level for E13 (default 4)
@@ -18,96 +18,77 @@
 //! cargo run --release -p od-bench --bin reproduce -- e16 --rows 1000000
 //! #                       partition products (hash vs comparison vs radix CSR) and
 //! #                       width-2/3/4 discovery on the scale table (--rows as in e14)
-//! cargo run --release -p od-bench --bin reproduce -- e17 --workers 2
-//! #                       multi-process width-4 discovery: N worker processes
-//! #                       (this binary re-exec'd with --od-worker) shard the data
-//! #                       plane over pipes, bit-identical to the threaded engine
 //! ```
+//!
+//! An unknown experiment id or option is rejected with a usage message and
+//! exit status 2.
 
 use od_bench::*;
 
+/// Every experiment id the harness runs, in run order.
+const EXPERIMENTS: [&str; 14] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e12", "e13", "e14", "e15", "e16",
+];
+
+/// Reject the command line with `message` and exit code 2 — an unknown
+/// experiment id or option must not silently run nothing and succeed.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!(
+        "usage: reproduce [EXPERIMENT...] [--tiny] [--max-context N] [--metrics-out DIR] \
+         [--rows N]\nexperiments: {}",
+        EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The numeric value following `flag`, or a usage error citing `example`.
+fn numeric_value(value: Option<String>, flag: &str, example: &str) -> usize {
+    match value.map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) => n,
+        _ => usage_error(&format!(
+            "{flag} requires a numeric value, e.g. {flag} {example}"
+        )),
+    }
+}
+
 fn main() {
-    // Worker-mode hook for E17's self-exec'd workers: with `--od-worker`
-    // among the arguments this process serves lattice frames on
-    // stdin/stdout and exits — it never reaches the harness below.
-    od_setbased::maybe_run_worker();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let tiny = args.iter().any(|a| a == "--tiny");
+    let mut tiny = false;
+    // `--max-context N` passes the lattice depth through to E13.
+    let mut max_context = 4;
+    // `--metrics-out DIR` captures E12–E16 under a scoped registry and writes
+    // `BENCH_<experiment>.json` (full) plus `.deterministic.json` (the
+    // run-comparable section) into DIR, creating it if needed.
+    let mut metrics_out: Option<std::path::PathBuf> = None;
+    // `--rows N` sizes the E14/E16 scale table (default 1M full, 20k tiny).
+    let mut rows: Option<usize> = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--tiny" => tiny = true,
+            "--max-context" => max_context = numeric_value(args.next(), &arg, "4"),
+            "--rows" => rows = Some(numeric_value(args.next(), &arg, "250000")),
+            "--metrics-out" => match args.next() {
+                Some(dir) if !dir.starts_with("--") => metrics_out = Some(dir.into()),
+                _ => usage_error("--metrics-out requires a directory, e.g. --metrics-out out/"),
+            },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
+            id => {
+                let id = id.to_lowercase();
+                if !EXPERIMENTS.contains(&id.as_str()) {
+                    usage_error(&format!("unknown experiment {id}"));
+                }
+                selected.push(id);
+            }
+        }
+    }
     let scale = if tiny {
         ExperimentScale::tiny()
     } else {
         ExperimentScale::default()
     };
-    // `--max-context N` passes the lattice depth through to E13.  A missing
-    // or non-numeric value is a hard error rather than a silently swallowed
-    // experiment id.
-    let flag_pos = args.iter().position(|a| a == "--max-context");
-    let max_context = match flag_pos {
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(depth)) => depth,
-            _ => {
-                eprintln!("--max-context requires a numeric value, e.g. --max-context 4");
-                std::process::exit(2);
-            }
-        },
-        None => 4,
-    };
-    // `--metrics-out DIR` captures E12/E13 under a scoped registry and writes
-    // `BENCH_<experiment>.json` (full) plus `.deterministic.json` (the
-    // run-comparable section) into DIR, creating it if needed.
-    let metrics_pos = args.iter().position(|a| a == "--metrics-out");
-    let metrics_out: Option<std::path::PathBuf> = match metrics_pos {
-        Some(i) => match args.get(i + 1) {
-            Some(dir) if !dir.starts_with("--") => Some(dir.into()),
-            _ => {
-                eprintln!("--metrics-out requires a directory, e.g. --metrics-out out/");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    // `--rows N` sizes the E14/E16 scale table (default 1M full, 20k tiny).
-    let rows_pos = args.iter().position(|a| a == "--rows");
-    let scale_rows = match rows_pos {
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(rows)) => rows,
-            _ => {
-                eprintln!("--rows requires a numeric value, e.g. --rows 250000");
-                std::process::exit(2);
-            }
-        },
-        None if tiny => 20_000,
-        None => 1_000_000,
-    };
-    // `--workers N` sizes the E17 worker pool (default 2 — the smallest
-    // count that demonstrates cross-process sharding).
-    let workers_pos = args.iter().position(|a| a == "--workers");
-    let workers = match workers_pos {
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => n,
-            _ => {
-                eprintln!("--workers requires a count of at least 1, e.g. --workers 2");
-                std::process::exit(2);
-            }
-        },
-        None => 2,
-    };
-    let value_positions: Vec<usize> = [flag_pos, metrics_pos, rows_pos, workers_pos]
-        .iter()
-        .flatten()
-        .map(|i| i + 1)
-        .collect();
-    let selected: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            Some(i) != flag_pos
-                && Some(i) != metrics_pos
-                && !value_positions.contains(&i)
-                && !a.starts_with("--")
-        })
-        .map(|(_, a)| a.to_lowercase())
-        .collect();
+    let scale_rows = rows.unwrap_or(if tiny { 20_000 } else { 1_000_000 });
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     println!("Reproduction harness — 'Fundamentals of Order Dependencies' (VLDB 2012)");
@@ -194,16 +175,6 @@ fn main() {
                 emit(&metrics, dir);
             }
             None => println!("{}", exp_e16_lattice(scale_rows)),
-        }
-    }
-    if want("e17") {
-        match &metrics_out {
-            Some(dir) => {
-                let (report, metrics) = exp_e17_dist_with_metrics(scale_rows, workers);
-                println!("{report}");
-                emit(&metrics, dir);
-            }
-            None => println!("{}", exp_e17_dist(scale_rows, workers)),
         }
     }
 }

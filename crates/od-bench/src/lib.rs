@@ -19,7 +19,6 @@ use od_engine::{execute, Aggregate};
 use od_infer::witness::{completeness_gaps, witness_table};
 use od_infer::{Decider, OdSet, Outcome, Prover};
 use od_optimizer::{aggregation_query, reduce_order_by_fd, reduce_order_by_od, same_results};
-use od_setbased::{DistStats, WorkerLauncher};
 use od_workload::{
     build_warehouse, daily_sales_table, date_query_suite, dates, generate_date_dim, tax,
     WarehouseConfig,
@@ -1110,158 +1109,6 @@ fn run_e16(rows: usize, threads: usize) -> String {
     )
     .unwrap();
     out
-}
-
-/// E17 — multi-process lattice traversal: the same width-4 discovery as E16,
-/// with the data plane (partition refinement + statement scans) sharded
-/// across `workers` worker *processes* connected over length-prefixed pipe
-/// frames.  The distributed run's minimal statements, verdicts, and stats
-/// are asserted bit-identical to the threaded engine **in-run**, and at
-/// scale the wall-clock must clear a 1.3× bar against it.  Workers are the
-/// current binary re-executed with `--od-worker` (`reproduce` installs the
-/// hook), each loading its relation copy once from a columnar snapshot.
-pub fn exp_e17_dist(rows: usize, workers: usize) -> String {
-    run_e17(rows, workers, &WorkerLauncher::self_exec()).0
-}
-
-/// [`exp_e17_dist`] under a scoped metrics registry, for `BENCH_e17.json`.
-/// The merged discovery counters land in the deterministic section —
-/// byte-identical across worker counts by the merge rules — while transport
-/// telemetry (`dist.workers`, `dist.frames`, `dist.bytes`) varies with the
-/// worker count and is confined to the non-deterministic section.
-pub fn exp_e17_dist_with_metrics(rows: usize, workers: usize) -> (String, od_obs::MetricsReport) {
-    exp_e17_dist_with_metrics_launcher(rows, workers, &WorkerLauncher::self_exec())
-}
-
-/// E17 with an explicit worker launcher — exists so test binaries (which
-/// cannot re-exec themselves into worker mode) can drive the experiment
-/// through in-process protocol workers or an external worker binary.
-#[doc(hidden)]
-pub fn exp_e17_dist_with_metrics_launcher(
-    rows: usize,
-    workers: usize,
-    launcher: &WorkerLauncher,
-) -> (String, od_obs::MetricsReport) {
-    let ((report, stats), mut metrics) = metrics::capture("e17", || run_e17(rows, workers, launcher));
-    metrics.set_nondeterministic("dist.workers", stats.workers as f64);
-    metrics.set_nondeterministic("dist.frames", stats.frames as f64);
-    metrics.set_nondeterministic("dist.bytes", stats.bytes as f64);
-    (report, metrics)
-}
-
-fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, DistStats) {
-    use od_setbased::{discover_statements, discover_statements_dist, LatticeConfig};
-    use od_workload::{scale_relation, SCALE_1M};
-
-    let cfg = SCALE_1M.with_rows(rows);
-    let mut out = String::new();
-    writeln!(
-        out,
-        "## E17  Multi-process lattice traversal ({workers} context-sharded workers over pipes)"
-    )
-    .unwrap();
-    let rel = scale_relation(&cfg);
-    od_obs::add("e17.rows", rel.len() as u64);
-    writeln!(
-        out,
-        "scale table: {} rows × {} attrs (zipfian + sorted-with-noise, seed {:#x})",
-        rel.len(),
-        rel.schema().arity(),
-        cfg.seed
-    )
-    .unwrap();
-
-    // The threaded path at its E16 headline configuration (serial scans):
-    // the wall-clock baseline *and* the bit-identity oracle.
-    let config = LatticeConfig {
-        max_context: 4,
-        ..Default::default()
-    };
-    let (local, local_time) = timed_best_of_2(|| discover_statements(&rel, &config));
-    writeln!(
-        out,
-        "threaded engine (threads=1): {} minimal statements in {local_time:?} ({} rows/sec)",
-        local.minimal_statements().len(),
-        rows_per_sec(rel.len(), local_time)
-    )
-    .unwrap();
-
-    // The distributed run, timed end-to-end: worker spawn, snapshot
-    // streaming, prewarm, the sharded traversal, and shutdown/reap all
-    // count — a fair bar for "spin up processes and still win".
-    let dist_config = LatticeConfig {
-        workers,
-        ..config
-    };
-    let (dist_result, dist_time) =
-        timed_best_of_2(|| discover_statements_dist(&rel, &dist_config, launcher));
-    let (dist, stats) = match dist_result {
-        Ok(pair) => pair,
-        Err(e) => {
-            writeln!(out, "UNEXPECTED: distributed traversal failed: {e}").unwrap();
-            return (out, DistStats::default());
-        }
-    };
-    let speedup = local_time.as_secs_f64() / dist_time.as_secs_f64().max(1e-9);
-    writeln!(
-        out,
-        "dist engine ({} workers):     {} minimal statements in {dist_time:?} \
-         ({} rows/sec, {speedup:.2}x vs threaded; {} frames, {} wire bytes)",
-        stats.workers,
-        dist.minimal_statements().len(),
-        rows_per_sec(rel.len(), dist_time),
-        stats.frames,
-        stats.bytes
-    )
-    .unwrap();
-
-    let identical = local.minimal_statements() == dist.minimal_statements()
-        && local.verdicts() == dist.verdicts()
-        && local.stats == dist.stats
-        && local.level_stats() == dist.level_stats();
-    writeln!(
-        out,
-        "verdicts, minimal statements, and stats bit-identical across engines: {}",
-        ok(identical)
-    )
-    .unwrap();
-    if !identical {
-        writeln!(
-            out,
-            "  UNEXPECTED: the distributed engine diverged from the threaded engine"
-        )
-        .unwrap();
-    }
-    // The ≥1.3x wall-clock bar only makes sense where two workers can
-    // actually run at once: on a single-CPU host the processes time-slice
-    // one core and the dist path can only pay for its snapshot + merge,
-    // so the ratio is reported but not judged.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if rows >= 250_000 && workers >= 2 && cores >= 2 && speedup < 1.3 {
-        writeln!(
-            out,
-            "  UNEXPECTED: {workers}-worker traversal below the 1.3x bar vs the threaded path"
-        )
-        .unwrap();
-    }
-    if cores < 2 {
-        writeln!(
-            out,
-            "  single-CPU host ({cores} core): workers time-slice one core, so the 1.3x \
-             bar is waived; the ratio above measures pure protocol + snapshot overhead"
-        )
-        .unwrap();
-    }
-    write!(out, "{}", dist.summary()).unwrap();
-    writeln!(
-        out,
-        "claim: context-sharded worker processes beat the threaded width-4 traversal \
-         end-to-end (spawn + snapshot + merge included), bit-identically  |  measured: \
-         {speedup:.2}x with {workers} workers on {} rows ({cores}-core host)",
-        rel.len()
-    )
-    .unwrap();
-    (out, stats)
 }
 
 /// Row-at-a-time bucketing for E14's Value baseline: sort `(&Value, row)`

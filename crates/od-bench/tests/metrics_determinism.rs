@@ -112,37 +112,6 @@ fn e16_deterministic_section_is_byte_identical_across_runs_and_threads() {
 }
 
 #[test]
-fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
-    // The whole E17 pipeline — scale-table generation, the threaded oracle
-    // run, the distributed traversal over in-process workers — under the
-    // capture.  The deterministic section carries only merged discovery
-    // counters (worker-invariant by the ledger design); frame/byte traffic
-    // varies with the worker count and lives in the non-deterministic
-    // section, so {1,2,4} workers must all produce identical bytes.
-    let run = |workers| {
-        let (_, report) = od_bench::exp_e17_dist_with_metrics_launcher(
-            20_000,
-            workers,
-            &od_setbased::WorkerLauncher::in_process(),
-        );
-        report.deterministic_json()
-    };
-    let reference = run(1);
-    assert!(reference.contains("e17.rows"));
-    assert!(reference.contains("discovery.candidates"));
-    assert!(!reference.contains("dist.frames"));
-    for workers in [1, 2, 4] {
-        for iteration in 0..2 {
-            assert_eq!(
-                run(workers),
-                reference,
-                "e17 deterministic section drifted (workers={workers}, run={iteration})"
-            );
-        }
-    }
-}
-
-#[test]
 fn e15_deterministic_section_is_byte_identical_across_runs_and_threads() {
     // The whole E15 service-layer load harness — server boot, pub/sub flip
     // phase, multi-threaded spot load over loopback TCP — with the wall-clock

@@ -40,13 +40,6 @@ pub struct EncodedColumn {
 }
 
 impl EncodedColumn {
-    /// Reassemble a column from its parts (the wire snapshot decoder; the
-    /// caller has already validated that `dict` is strictly sorted and every
-    /// code indexes it).
-    pub(crate) fn from_parts(dict: Vec<Value>, codes: Vec<u32>) -> Self {
-        EncodedColumn { dict, codes }
-    }
-
     /// The sorted dictionary of distinct values.
     pub fn dict(&self) -> &[Value] {
         &self.dict
@@ -102,12 +95,6 @@ impl ColumnarEncoding {
             columns,
             n_rows: tuples.len(),
         }
-    }
-
-    /// Reassemble an encoding from decoded columns (the wire snapshot
-    /// decoder's constructor; invariants validated by the caller).
-    pub(crate) fn from_parts(columns: Vec<EncodedColumn>, n_rows: usize) -> Self {
-        ColumnarEncoding { columns, n_rows }
     }
 
     /// Number of encoded rows.

@@ -79,43 +79,6 @@ impl Relation {
         Ok(rel)
     }
 
-    /// Assemble a relation whose columnar encoding is already known (the wire
-    /// snapshot decoder) — tuples and encoding arrive together, so nothing is
-    /// re-encoded.  The caller guarantees the encoding matches the tuples.
-    pub(crate) fn from_encoded(
-        schema: Schema,
-        tuples: Vec<Tuple>,
-        encoding: ColumnarEncoding,
-    ) -> Self {
-        Relation {
-            schema,
-            tuples,
-            encoding: RwLock::new(Some(Arc::new(encoding))),
-        }
-    }
-
-    /// Serialize the relation as a **columnar snapshot** — schema, then per
-    /// attribute the sorted dictionary plus the dense code column (see
-    /// [`crate::wire::put_relation_snapshot`]).  The format the distributed
-    /// lattice workers load their relation copy from at startup.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        crate::wire::put_relation_snapshot(&mut buf, self);
-        buf
-    }
-
-    /// Decode a columnar snapshot produced by [`Self::to_bytes`], rebuilding
-    /// the row store through the dictionaries and attaching the transported
-    /// encoding as-is.  `from_bytes(to_bytes(r)) == r` holds for every
-    /// relation, including empty ones, NULL cells, and NaN floats (values
-    /// travel as IEEE-754 bit patterns); trailing bytes are an error.
-    pub fn from_bytes(bytes: &[u8]) -> crate::wire::WireResult<Relation> {
-        let mut r = crate::wire::Reader::new(bytes);
-        let rel = crate::wire::get_relation_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(rel)
-    }
-
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

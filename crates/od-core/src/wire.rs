@@ -26,7 +26,6 @@
 //! layer's business — this module only moves validated bytes.
 
 use crate::attr::{AttrId, DataType, Schema};
-use crate::columnar::{ColumnarEncoding, EncodedColumn};
 use crate::dep::OrderDependency;
 use crate::list::AttrList;
 use crate::relation::{Relation, Tuple};
@@ -414,102 +413,6 @@ pub fn get_relation(r: &mut Reader<'_>) -> WireResult<Relation> {
     Ok(rel)
 }
 
-/// Encode a [`Relation`] as a **columnar snapshot**: schema, row count, then
-/// per attribute the sorted dictionary followed by the dense code column.
-///
-/// This is the distributed-worker startup format: a worker reconstructs the
-/// row store *and* the order-preserving encoding from one buffer, without
-/// re-sorting any column.  Values ride as their [`put_value`] bit patterns,
-/// so float cells (NaN payloads included) round-trip bit-identically and
-/// `encode ∘ decode ∘ encode` is byte-stable.
-pub fn put_relation_snapshot(buf: &mut Vec<u8>, rel: &Relation) {
-    let enc = rel.encoding();
-    put_schema(buf, rel.schema());
-    put_u32(buf, rel.len() as u32);
-    for col in 0..enc.arity() {
-        let dict = enc.dict(col);
-        put_u32(buf, dict.len() as u32);
-        for v in dict {
-            put_value(buf, v);
-        }
-        for &code in enc.codes(col) {
-            put_u32(buf, code);
-        }
-    }
-}
-
-/// Decode a columnar snapshot into its `(schema, encoding)` parts without
-/// rebuilding the row store, revalidating the encoding invariants the
-/// discovery layers lean on: every dictionary must be strictly ascending in
-/// the [`Value`] order and every code must index its dictionary.
-///
-/// This is the distributed-worker fast path: partition refinement and
-/// statement scans consume only dense codes, so a worker that loads through
-/// this function skips materializing `n_rows` tuples it would never read.
-/// [`get_relation_snapshot`] layers the tuple rebuild on top for callers
-/// that need a full [`Relation`].
-pub fn get_relation_snapshot_columns(r: &mut Reader<'_>) -> WireResult<(Schema, ColumnarEncoding)> {
-    let schema = get_schema(r)?;
-    let n_rows = r.u32()? as usize;
-    let arity = schema.arity();
-    if arity == 0 && n_rows > MAX_FRAME_LEN {
-        // Zero-arity rows occupy no payload bytes, so the usual
-        // "bytes-remaining" guards cannot bound the row count; cap it
-        // explicitly instead of allocating a row store from thin air.
-        return Err(WireError::TooLarge {
-            declared: n_rows,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut columns = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let dict_len = r.seq_len(1)?;
-        let mut dict = Vec::with_capacity(dict_len);
-        for _ in 0..dict_len {
-            dict.push(get_value(r)?);
-        }
-        if !dict.windows(2).all(|w| w[0] < w[1]) {
-            return Err(WireError::Inconsistent(
-                "snapshot dictionary is not strictly sorted",
-            ));
-        }
-        let needed = n_rows * std::mem::size_of::<u32>();
-        if r.remaining() < needed {
-            return Err(WireError::UnexpectedEof {
-                needed,
-                remaining: r.remaining(),
-            });
-        }
-        let mut codes = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let code = r.u32()?;
-            if code as usize >= dict.len() {
-                return Err(WireError::Inconsistent(
-                    "snapshot code exceeds its dictionary",
-                ));
-            }
-            codes.push(code);
-        }
-        columns.push(EncodedColumn::from_parts(dict, codes));
-    }
-    Ok((schema, ColumnarEncoding::from_parts(columns, n_rows)))
-}
-
-/// Decode a columnar snapshot back into a [`Relation`].  The decoded
-/// relation carries the snapshot's encoding directly — no column is
-/// re-sorted — and its tuples are reconstructed through the dictionaries.
-pub fn get_relation_snapshot(r: &mut Reader<'_>) -> WireResult<Relation> {
-    let (schema, enc) = get_relation_snapshot_columns(r)?;
-    let tuples: Vec<Tuple> = (0..enc.n_rows())
-        .map(|row| {
-            (0..enc.arity())
-                .map(|col| enc.dict(col)[enc.codes(col)[row] as usize].clone())
-                .collect()
-        })
-        .collect();
-    Ok(Relation::from_encoded(schema, tuples, enc))
-}
-
 /// Encode an [`AttrList`] (`u32` length + `u32` ids).
 pub fn put_attr_list(buf: &mut Vec<u8>, list: &AttrList) {
     put_u32(buf, list.len() as u32);
@@ -747,87 +650,6 @@ mod tests {
         let mut cursor = io::Cursor::new(vec![1u8, 0]);
         let err = read_frame_opt(&mut cursor, 1024).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn relation_snapshots_roundtrip_with_nulls_nans_and_empties() {
-        let mut schema = Schema::new("snap");
-        schema.add_attr("mixed");
-        schema.add_attr("num");
-        let rel = Relation::from_rows(
-            schema.clone(),
-            vec![
-                vec![Value::Null, Value::Float(f64::NAN)],
-                vec![Value::Str("b".into()), Value::Float(-0.0)],
-                vec![Value::Str("a".into()), Value::Float(f64::NEG_INFINITY)],
-                vec![Value::Str("a".into()), Value::Null],
-            ],
-        )
-        .unwrap();
-        let bytes = rel.to_bytes();
-        let back = Relation::from_bytes(&bytes).unwrap();
-        assert_eq!(back, rel);
-        // Byte-stable re-encode: NaN bit patterns and NULL codes intact.
-        assert_eq!(back.to_bytes(), bytes);
-        // The NaN cell survives as the identical bit pattern.
-        let nan = back.value(0, AttrId(1));
-        match nan {
-            Value::Float(f) => assert_eq!(f.to_bits(), f64::NAN.to_bits()),
-            other => panic!("expected a float, got {other:?}"),
-        }
-        // Empty relation, zero-arity relation.
-        for empty in [
-            Relation::new(schema),
-            Relation::new(Schema::new("no-cols")),
-        ] {
-            let bytes = empty.to_bytes();
-            assert_eq!(Relation::from_bytes(&bytes).unwrap(), empty);
-        }
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let mut schema = Schema::new("snap");
-        schema.add_attr("c0");
-        let rel = Relation::from_rows(
-            schema,
-            vec![vec![Value::Int(2)], vec![Value::Int(1)], vec![Value::Int(2)]],
-        )
-        .unwrap();
-        let good = rel.to_bytes();
-        // Every truncation errors instead of panicking.
-        for cut in 0..good.len() {
-            assert!(Relation::from_bytes(&good[..cut]).is_err());
-        }
-        // Trailing bytes are an error.
-        let mut padded = good.clone();
-        padded.push(0);
-        assert!(Relation::from_bytes(&padded).is_err());
-        // A code pointing past its dictionary is Inconsistent: the final u32
-        // of the payload is the last row's code.
-        let mut bad_code = good.clone();
-        let at = bad_code.len() - 4;
-        bad_code[at..].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            Relation::from_bytes(&bad_code),
-            Err(WireError::Inconsistent(_))
-        ));
-        // An unsorted dictionary is rejected: build a snapshot by hand with
-        // the two Int dict entries swapped.
-        let mut swapped = Vec::new();
-        let enc = rel.encoding();
-        put_schema(&mut swapped, rel.schema());
-        put_u32(&mut swapped, rel.len() as u32);
-        put_u32(&mut swapped, 2);
-        put_value(&mut swapped, &enc.dict(0)[1]);
-        put_value(&mut swapped, &enc.dict(0)[0]);
-        for &code in enc.codes(0) {
-            put_u32(&mut swapped, code);
-        }
-        assert!(matches!(
-            Relation::from_bytes(&swapped),
-            Err(WireError::Inconsistent(_))
-        ));
     }
 
     #[test]

@@ -180,59 +180,3 @@ proptest! {
         }
     }
 }
-
-/// Strategy: a relation mixing every [`Value`] variant — NULLs, NaN and
-/// negative-zero floats, strings, dates, booleans — so the columnar snapshot
-/// round-trip is exercised over heterogeneous comparison-path columns, not
-/// just radix-path integers.
-fn mixed_relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
-    prop::collection::vec(prop::collection::vec(0u64..4096, cols), 0..max_rows).prop_map(
-        move |rows| {
-            let mut schema = Schema::new("snapshot");
-            for i in 0..cols {
-                schema.add_attr(format!("c{i}"));
-            }
-            let value = |seed: u64| match seed % 7 {
-                0 => Value::Null,
-                1 => Value::Int((seed >> 3) as i64 - 200),
-                2 => Value::Float((seed >> 3) as f64 / 4.0 - 32.0),
-                3 => Value::Float(if seed & 8 == 0 { f64::NAN } else { -0.0 }),
-                4 => Value::Str(format!("s{}", (seed >> 3) % 9)),
-                5 => Value::Date((seed >> 3) as i32 - 100),
-                _ => Value::Bool(seed & 8 == 0),
-            };
-            Relation::from_rows(
-                schema,
-                rows.into_iter()
-                    .map(|r| r.into_iter().map(value).collect()),
-            )
-            .expect("arity is fixed by construction")
-        },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// The columnar snapshot round trip is lossless — `from_bytes(to_bytes(r))
-    /// == r` — and byte-stable: re-encoding the decoded relation reproduces
-    /// the exact snapshot bytes (so NaN payloads and NULL codes survive
-    /// bit-for-bit), and the transported encoding matches what a fresh
-    /// re-encode of the reconstructed rows would build.
-    #[test]
-    fn columnar_snapshot_roundtrips(rel in mixed_relation_strategy(3, 16)) {
-        let bytes = rel.to_bytes();
-        let back = Relation::from_bytes(&bytes).expect("snapshot decodes");
-        prop_assert_eq!(&back, &rel);
-        prop_assert_eq!(back.to_bytes(), bytes);
-        // The attached encoding must agree with an honest re-encode of the
-        // reconstructed tuples: order-preserving codes are what discovery
-        // trusts, so a snapshot may never smuggle in a different ranking.
-        let reencoded = Relation::from_rows(
-            back.schema().clone(),
-            back.tuples().iter().cloned(),
-        )
-        .expect("reconstructed tuples satisfy the schema");
-        prop_assert_eq!(&*back.encoding(), &*reencoded.encoding());
-    }
-}

@@ -24,11 +24,10 @@
 //! round-trip proptests).
 
 use od_core::wire::{
-    get_od, get_relation, get_tuple, put_od, put_relation, put_tuple, Reader, WireError,
-    WireResult,
+    get_attr_set, get_od, get_relation, get_tuple, put_attr_set, put_od, put_relation, put_tuple,
+    Reader, WireError, WireResult,
 };
-use od_core::{wire, OrderDependency, Relation, Tuple};
-use od_setbased::wire::{get_statement, put_statement};
+use od_core::{wire, AttrId, OrderDependency, Relation, Tuple};
 use od_setbased::SetOd;
 
 /// Server→client frame kind: a response to a request.
@@ -143,6 +142,39 @@ fn put_ods(buf: &mut Vec<u8>, ods: &[OrderDependency]) {
 fn get_ods(r: &mut Reader<'_>) -> WireResult<Vec<OrderDependency>> {
     let n = r.seq_len(8)?;
     (0..n).map(|_| get_od(r)).collect()
+}
+
+const STMT_CONSTANCY: u8 = 0;
+const STMT_COMPATIBILITY: u8 = 1;
+
+/// Encode a canonical set-based statement: its context as a raw `u64`
+/// bitmask, then the statement kind and attribute ids.
+fn put_statement(buf: &mut Vec<u8>, stmt: &SetOd) {
+    match stmt {
+        SetOd::Constancy { context, attr } => {
+            wire::put_u8(buf, STMT_CONSTANCY);
+            put_attr_set(buf, context);
+            wire::put_u32(buf, attr.0);
+        }
+        SetOd::Compatibility { context, a, b } => {
+            wire::put_u8(buf, STMT_COMPATIBILITY);
+            put_attr_set(buf, context);
+            wire::put_u32(buf, a.0);
+            wire::put_u32(buf, b.0);
+        }
+    }
+}
+
+fn get_statement(r: &mut Reader<'_>) -> WireResult<SetOd> {
+    match r.u8()? {
+        STMT_CONSTANCY => Ok(SetOd::constancy(get_attr_set(r)?, AttrId(r.u32()?))),
+        STMT_COMPATIBILITY => Ok(SetOd::compatibility(
+            get_attr_set(r)?,
+            AttrId(r.u32()?),
+            AttrId(r.u32()?),
+        )),
+        tag => Err(WireError::InvalidTag { what: "SetOd", tag }),
+    }
 }
 
 // Request opcodes.
@@ -779,7 +811,7 @@ impl ServerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use od_core::{AttrId, AttrSet, Value};
+    use od_core::{AttrSet, Value};
 
     #[test]
     fn request_roundtrip_examples() {
@@ -849,6 +881,41 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+    }
+
+    fn roundtrip_stmt(stmt: SetOd) {
+        let mut buf = Vec::new();
+        put_statement(&mut buf, &stmt);
+        let mut r = Reader::new(&buf);
+        let back = get_statement(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, stmt);
+        let mut again = Vec::new();
+        put_statement(&mut again, &back);
+        assert_eq!(again, buf);
+    }
+
+    #[test]
+    fn statements_roundtrip() {
+        roundtrip_stmt(SetOd::constancy(AttrSet::new(), AttrId(0)));
+        roundtrip_stmt(SetOd::constancy(
+            AttrSet::from_mask(0x8000_0000_0000_0001),
+            AttrId(63),
+        ));
+        roundtrip_stmt(SetOd::compatibility(
+            AttrSet::singleton(AttrId(5)),
+            AttrId(1),
+            AttrId(7),
+        ));
+    }
+
+    #[test]
+    fn bad_statement_tags_are_rejected() {
+        let mut r = Reader::new(&[9]);
+        assert!(matches!(
+            get_statement(&mut r),
+            Err(WireError::InvalidTag { what: "SetOd", .. })
+        ));
     }
 
     #[test]

@@ -74,7 +74,6 @@
 //! monotone in the premise set).
 
 use crate::canonical::SetOd;
-use crate::dist::{DistError, DistPlane, PlaneCounters, WorkerLauncher};
 use crate::obs;
 use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
@@ -100,12 +99,6 @@ pub struct LatticeConfig {
     /// `g3` error threshold: accept statements that hold after removing at
     /// most `⌊ε·n⌋` tuples (0.0 = exact discovery).
     pub epsilon: f64,
-    /// Worker *processes* for the context-sharded data plane (0 = in-process).
-    /// With `workers > 0` the traversal runs through [`crate::dist`]: the
-    /// current binary is re-executed `workers` times in worker mode (it must
-    /// call [`crate::dist::maybe_run_worker`] first thing in `main`), and
-    /// results are bit-identical to the in-process engine.
-    pub workers: usize,
 }
 
 impl Default for LatticeConfig {
@@ -119,7 +112,6 @@ impl Default for LatticeConfig {
             use_decider: true,
             threads: 1,
             epsilon: 0.0,
-            workers: 0,
         }
     }
 }
@@ -606,143 +598,6 @@ impl TraversalState {
     }
 }
 
-/// The traversal's swappable **data plane**: partition refinement, statement
-/// scans, eviction, and cache accounting.  The control plane
-/// ([`discover_with_plane`]) is identical over both variants, which is what
-/// makes the distributed engine bit-identical to the in-process one.
-pub(crate) enum Plane<'r> {
-    /// The in-process [`PartitionCache`] (threads shard *within* the process).
-    Local(Box<LocalPlane<'r>>),
-    /// Context-sharded worker processes over pipes (see [`crate::dist`]).
-    Dist(Box<DistPlane>),
-}
-
-/// The in-process data plane: the partition cache plus the current level's
-/// materialized partitions and the per-attribute code columns scans read.
-pub(crate) struct LocalPlane<'r> {
-    cache: PartitionCache<'r>,
-    all_codes: Vec<ColCodes>,
-    parts: Vec<Rc<StrippedPartition>>,
-    threads: usize,
-    budget: usize,
-}
-
-impl<'r> LocalPlane<'r> {
-    pub(crate) fn new(rel: &'r Relation, threads: usize, budget: usize) -> Self {
-        let cache = PartitionCache::new(rel);
-        // Per-attribute code-column views into the relation's shared columnar
-        // encoding — cheap handles that deref to `&[u32]` for the batch
-        // phase's worker threads.
-        let all_codes = rel.schema().attr_ids().map(|a| cache.codes(a)).collect();
-        LocalPlane {
-            cache,
-            all_codes,
-            parts: Vec::new(),
-            threads: threads.max(1),
-            budget,
-        }
-    }
-}
-
-impl Plane<'_> {
-    /// Materialize one level's partitions; returns each context's class
-    /// count, in context order (`0` ⇔ the context is a superkey).
-    fn refine_level(&mut self, contexts: &[AttrSet], level: usize) -> Result<Vec<u64>, DistError> {
-        match self {
-            Plane::Local(p) => {
-                p.parts = p.cache.partitions_batch(contexts, p.threads);
-                Ok(p.parts.iter().map(|pt| pt.num_classes() as u64).collect())
-            }
-            Plane::Dist(p) => p.refine_level(contexts, level),
-        }
-    }
-
-    /// Scan all of a level's surviving constancy candidates in one batch;
-    /// verdicts come back in slot order.
-    fn scan_consts(&mut self, slots: &[(usize, AttrId)]) -> Result<Vec<Verdict>, DistError> {
-        match self {
-            Plane::Local(p) => {
-                let jobs: Vec<StatementJob<'_>> = slots
-                    .iter()
-                    .map(|&(i, attr)| StatementJob::Constancy {
-                        part: &p.parts[i],
-                        codes: &p.all_codes[attr.index()],
-                    })
-                    .collect();
-                Ok(parallel::validate_statement_batch(&jobs, p.threads, p.budget))
-            }
-            Plane::Dist(p) => p.scan_consts(slots),
-        }
-    }
-
-    /// Scan all of a level's surviving compatibility candidates in one batch.
-    fn scan_pairs(
-        &mut self,
-        slots: &[(usize, (AttrId, AttrId))],
-    ) -> Result<Vec<Verdict>, DistError> {
-        match self {
-            Plane::Local(p) => {
-                let jobs: Vec<StatementJob<'_>> = slots
-                    .iter()
-                    .map(|&(i, (a, b))| StatementJob::Compatibility {
-                        part: &p.parts[i],
-                        codes_a: &p.all_codes[a.index()],
-                        codes_b: &p.all_codes[b.index()],
-                    })
-                    .collect();
-                Ok(parallel::validate_statement_batch(&jobs, p.threads, p.budget))
-            }
-            Plane::Dist(p) => p.scan_pairs(slots),
-        }
-    }
-
-    /// Replay-fallback scan of one statement (a partition-cache hit).
-    fn scan_one(&mut self, stmt: &SetOd) -> Result<Verdict, DistError> {
-        match self {
-            Plane::Local(p) => Ok(validate::statement_verdict(&mut p.cache, stmt, 1, p.budget)),
-            Plane::Dist(p) => p.scan_one(stmt),
-        }
-    }
-
-    /// Evict all cached partitions of one context size; returns how many.
-    fn evict(&mut self, size: usize) -> Result<usize, DistError> {
-        match self {
-            Plane::Local(p) => Ok(p.cache.evict_sets_of_size(size)),
-            Plane::Dist(p) => p.evict(size),
-        }
-    }
-
-    /// Heap bytes of the cached CSR partitions plus the class-code memo.
-    fn csr_bytes(&self) -> u64 {
-        match self {
-            Plane::Local(p) => p.cache.approx_csr_bytes() as u64,
-            Plane::Dist(p) => p.csr_bytes(),
-        }
-    }
-
-    /// Distinct attribute sets whose partition is currently materialized.
-    fn cached_sets(&self) -> usize {
-        match self {
-            Plane::Local(p) => p.cache.cached_sets(),
-            Plane::Dist(p) => p.cached_sets(),
-        }
-    }
-
-    /// Aggregate cache counters at the end of the traversal.
-    fn counters(&self) -> PlaneCounters {
-        match self {
-            Plane::Local(p) => PlaneCounters {
-                hits: p.cache.hits,
-                misses: p.cache.misses,
-                products: p.cache.products,
-                radix_passes: p.cache.radix_passes(),
-                product_radix_passes: p.cache.product_radix_passes(),
-            },
-            Plane::Dist(p) => p.counters(),
-        }
-    }
-}
-
 /// Run the node-based level-wise traversal over the relation's attribute
 /// lattice, reporting schemas beyond the 64-attribute [`AttrSet`] domain as a
 /// [`CoreError::AttrSetOverflow`] instead of panicking.
@@ -759,38 +614,11 @@ pub fn try_discover_statements(
 /// Run the node-based level-wise traversal over the relation's attribute
 /// lattice.
 ///
-/// With `config.workers > 0` the data plane is sharded over that many worker
-/// *processes* (see [`crate::dist`]); results are bit-identical either way.
-///
-/// Panics when the schema exceeds the 64-attribute [`AttrSet`] domain (use
-/// [`try_discover_statements`] where such schemas are reachable) or when a
-/// worker process fails (use [`crate::dist::discover_statements_dist`] to
-/// handle [`DistError`]s).
+/// Panics when the schema exceeds the 64-attribute [`AttrSet`] domain; use
+/// [`try_discover_statements`] where such schemas are reachable.
 pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDiscovery {
-    if config.workers > 0 {
-        return crate::dist::discover_statements_dist(rel, config, &WorkerLauncher::self_exec())
-            .unwrap_or_else(|e| panic!("distributed traversal failed: {e}"))
-            .0;
-    }
-    let budget = validate::error_budget(rel.len(), config.epsilon);
-    let mut plane = Plane::Local(Box::new(LocalPlane::new(rel, config.threads, budget)));
-    match discover_with_plane(rel, config, &mut plane) {
-        Ok(d) => d,
-        Err(e) => unreachable!("the local plane is infallible: {e}"),
-    }
-}
-
-/// The traversal's **control plane**, generic over the data plane: candidate
-/// propagation, superkey deletion, the per-level decider round, and the
-/// canonical sequential replay.  Every data access — refinement, scans,
-/// eviction, cache accounting — goes through `plane`, so the distributed
-/// engine runs *this exact loop* and inherits its determinism.
-pub(crate) fn discover_with_plane(
-    rel: &Relation,
-    config: &LatticeConfig,
-    plane: &mut Plane<'_>,
-) -> Result<SetBasedDiscovery, DistError> {
     let universe: Vec<AttrId> = rel.schema().attr_ids().collect();
+    let mut cache = PartitionCache::new(rel);
     let mut result = SetBasedDiscovery {
         minimal: Vec::new(),
         verdicts: Vec::new(),
@@ -808,7 +636,12 @@ pub(crate) fn discover_with_plane(
     // removal set whose union busts the budget.  Without the `decider`
     // feature the pruning hook is compiled out entirely.
     let decider_active = cfg!(feature = "decider") && config.use_decider && budget == 0;
+    let threads = config.threads.max(1);
     let mut state = TraversalState::default();
+    // Per-attribute code-column views into the relation's shared columnar
+    // encoding — cheap handles that deref to `&[u32]` for the batch phase's
+    // worker threads.
+    let all_codes: Vec<ColCodes> = universe.iter().map(|&a| cache.codes(a)).collect();
     let _discovery_span = obs::span("discovery");
 
     let mut prev = LevelStore::default();
@@ -832,25 +665,23 @@ pub(crate) fn discover_with_plane(
         // (each is one incremental refinement of a level−1 partition still in
         // the cache; see `PartitionCache::partitions_batch`).
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
-        let classes: Vec<u64> = {
+        let parts: Vec<Rc<StrippedPartition>> = {
             let _s = obs::span("refine");
             // Level ≥ 2 batches are entirely packed-u64 products; the nested
             // span separates product cost from level-1 code bucketing.
             let _p = (level >= 2).then(|| obs::span("product"));
-            plane.refine_level(&contexts, level)?
+            cache.partitions_batch(&contexts, threads)
         };
-        for &c in &classes {
-            obs::record("discovery.partition_classes", c);
+        for part in &parts {
+            obs::record("discovery.partition_classes", part.num_classes() as u64);
         }
-        obs::gauge_max("partition.csr_bytes", plane.csr_bytes());
-        lstats.cached_partitions = plane.cached_sets();
+        obs::gauge_max("partition.csr_bytes", cache.approx_csr_bytes() as u64);
+        lstats.cached_partitions = cache.cached_sets();
         result.stats.peak_cached_partitions = result
             .stats
             .peak_cached_partitions
             .max(lstats.cached_partitions);
-        // A stripped partition with no classes is a superkey (every class is
-        // a singleton) — the empty relation included.
-        let keyed: Vec<bool> = classes.iter().map(|&c| c == 0).collect();
+        let keyed: Vec<bool> = parts.iter().map(|p| p.is_key()).collect();
 
         // One batched decider round-trip for the whole level: the premise
         // snapshot is taken here, queried during scheduling (the pre-filter)
@@ -870,6 +701,7 @@ pub(crate) fn discover_with_plane(
 
         // ---- Batch A: all surviving constancy scans, one sharded pass -----
         let mut const_slots: Vec<(usize, AttrId)> = Vec::new();
+        let mut const_jobs: Vec<StatementJob<'_>> = Vec::new();
         // Pre-filter hits per node, as bit masks (no per-candidate hashing in
         // the level loop).
         let mut pre_pruned_consts: Vec<AttrSet> = vec![AttrSet::new(); nodes.len()];
@@ -899,12 +731,17 @@ pub(crate) fn discover_with_plane(
                     continue;
                 }
                 const_slots.push((i, attr));
+                const_jobs.push(StatementJob::Constancy {
+                    part: &parts[i],
+                    codes: &all_codes[attr.index()],
+                });
             }
         }
         let verdicts = {
             let _s = obs::span("validate");
-            plane.scan_consts(&const_slots)?
+            parallel::validate_statement_batch(&const_jobs, threads, budget)
         };
+        drop(const_jobs);
         let mut const_verdicts: HashMap<(usize, AttrId), Verdict> =
             const_slots.into_iter().zip(verdicts).collect();
 
@@ -923,6 +760,7 @@ pub(crate) fn discover_with_plane(
 
         // ---- Batch B: pair scans for pairs rule 2 cannot resolve ----------
         let mut pair_slots: Vec<(usize, (AttrId, AttrId))> = Vec::new();
+        let mut pair_jobs: Vec<StatementJob<'_>> = Vec::new();
         // Only the decider writes or reads the pre-pruned pair masks; with it
         // inactive, skip the per-node allocations outright.
         if decider_active {
@@ -946,12 +784,18 @@ pub(crate) fn discover_with_plane(
                     }
                 }
                 pair_slots.push((i, (a, b)));
+                pair_jobs.push(StatementJob::Compatibility {
+                    part: &parts[i],
+                    codes_a: &all_codes[a.index()],
+                    codes_b: &all_codes[b.index()],
+                });
             }
         }
         let verdicts = {
             let _s = obs::span("validate");
-            plane.scan_pairs(&pair_slots)?
+            parallel::validate_statement_batch(&pair_jobs, threads, budget)
         };
+        drop(pair_jobs);
         let mut pair_verdicts: HashMap<(usize, (AttrId, AttrId)), Verdict> =
             pair_slots.into_iter().zip(verdicts).collect();
 
@@ -994,10 +838,9 @@ pub(crate) fn discover_with_plane(
                 let verdict = if keyed[i] {
                     Verdict::clean()
                 } else {
-                    match const_verdicts.remove(&(i, attr)) {
-                        Some(v) => v,
-                        None => plane.scan_one(&stmt)?,
-                    }
+                    const_verdicts.remove(&(i, attr)).unwrap_or_else(|| {
+                        validate::statement_verdict(&mut cache, &stmt, 1, budget)
+                    })
                 };
                 lstats.validated += 1;
                 if verdict.within(budget) {
@@ -1035,10 +878,9 @@ pub(crate) fn discover_with_plane(
                 let verdict = if keyed[i] {
                     Verdict::clean()
                 } else {
-                    match pair_verdicts.remove(&(i, (a, b))) {
-                        Some(v) => v,
-                        None => plane.scan_one(&stmt)?,
-                    }
+                    pair_verdicts.remove(&(i, (a, b))).unwrap_or_else(|| {
+                        validate::statement_verdict(&mut cache, &stmt, 1, budget)
+                    })
                 };
                 lstats.validated += 1;
                 if verdict.within(budget) {
@@ -1070,25 +912,24 @@ pub(crate) fn discover_with_plane(
         roll_up(&mut result, lstats);
         // Partitions of level − 1 were refinement bases for this level only.
         if level >= 1 {
-            result.stats.cache_evictions += plane.evict(level - 1)?;
+            result.stats.cache_evictions += cache.evict_sets_of_size(level - 1);
         }
         prev = LevelStore::new(next_alive);
     }
-    let counters = plane.counters();
-    result.stats.cache_hits = counters.hits;
-    result.stats.cache_misses = counters.misses;
-    result.stats.product_radix_passes = counters.product_radix_passes;
-    obs::add("discovery.partition_cache.hits", counters.hits as u64);
-    obs::add("discovery.partition_cache.misses", counters.misses as u64);
+    result.stats.cache_hits = cache.hits;
+    result.stats.cache_misses = cache.misses;
+    result.stats.product_radix_passes = cache.product_radix_passes();
+    obs::add("discovery.partition_cache.hits", cache.hits as u64);
+    obs::add("discovery.partition_cache.misses", cache.misses as u64);
     obs::add(
         "discovery.partition_cache.evictions",
         result.stats.cache_evictions as u64,
     );
-    obs::add("discovery.partition_products", counters.products as u64);
-    obs::add("discovery.radix_passes", counters.radix_passes);
+    obs::add("discovery.partition_products", cache.products as u64);
+    obs::add("discovery.radix_passes", cache.radix_passes());
     obs::add(
         "discovery.product_radix_passes",
-        counters.product_radix_passes,
+        cache.product_radix_passes(),
     );
     obs::gauge_max(
         "discovery.partition_cache.peak",
@@ -1102,7 +943,7 @@ pub(crate) fn discover_with_plane(
         "discovery.decider_witness_hits",
         result.stats.decider_witness_hits as u64,
     );
-    Ok(result)
+    result
 }
 
 /// Record a confirmed minimal statement: it joins the level batch's premise

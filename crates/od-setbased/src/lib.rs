@@ -15,8 +15,6 @@
 //! | [`engine`]    | the memoizing demand-driven validator `od-discovery` uses as its default engine |
 //! | [`parallel`]  | sharding across threads: partition classes (atomic error budget), statements per level, and contexts per level expansion |
 //! | [`stream`]    | incremental monitoring: delta-maintained live partitions and per-statement [`VerdictLedger`]s |
-//! | [`wire`]      | canonical byte codecs for [`SetOd`]s and [`Verdict`]s, shared by od-server and the dist workers |
-//! | [`dist`]      | multi-process traversal: a coordinator shards contexts over `--workers N` pipe-connected worker processes, bit-identical to the threaded engine |
 //!
 //! ## The stripped-partition model, in one paragraph
 //!
@@ -80,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod canonical;
-pub mod dist;
 pub mod engine;
 pub mod lattice;
 mod obs;
@@ -88,12 +85,8 @@ pub mod parallel;
 pub mod partition;
 pub mod stream;
 pub mod validate;
-pub mod wire;
 
 pub use canonical::{compatibility_as_ods, constancy_as_od, translate_od, SetOd};
-pub use dist::{
-    discover_statements_dist, maybe_run_worker, DistError, DistStats, WorkerLauncher,
-};
 pub use engine::{EngineStats, SetBasedEngine};
 pub use lattice::{
     discover_statements, try_discover_statements, LatticeConfig, LatticeStats, LevelStats,

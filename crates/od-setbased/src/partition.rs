@@ -482,12 +482,7 @@ impl StrippedPartition {
 /// [`Self::evict_sets_of_size`] — eviction drops whole-partition CSR arrays,
 /// not the dense columns products keep re-reading.
 pub struct PartitionCache<'r> {
-    /// The backing row store, absent for caches built straight from a
-    /// columnar encoding ([`Self::from_encoding`]) — every partition and
-    /// scan path reads dense codes only, so distributed workers never pay
-    /// for tuple materialization.
-    rel: Option<&'r Relation>,
-    n_rows: usize,
+    rel: &'r Relation,
     enc: Arc<ColumnarEncoding>,
     /// Memoized partitions, keyed directly by the attribute-set bit mask —
     /// hashing a context costs one `u64` hash, not a `Vec<AttrId>` walk.
@@ -511,8 +506,7 @@ impl<'r> PartitionCache<'r> {
     /// encoding, building it if the relation was mutated since construction).
     pub fn new(rel: &'r Relation) -> Self {
         PartitionCache {
-            rel: Some(rel),
-            n_rows: rel.len(),
+            rel,
             enc: rel.encoding(),
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
@@ -523,35 +517,9 @@ impl<'r> PartitionCache<'r> {
         }
     }
 
-    /// A cache over a columnar encoding alone, with no backing row store.
-    /// Partition products, class codes, and statement scans all read dense
-    /// codes, so this cache serves the full refinement/validation surface;
-    /// only [`Self::relation`] is off-limits.  Distributed workers use this
-    /// to skip rebuilding `n_rows` tuples from a snapshot they would never
-    /// row-access.
-    pub fn from_encoding(enc: Arc<ColumnarEncoding>) -> PartitionCache<'static> {
-        PartitionCache {
-            rel: None,
-            n_rows: enc.n_rows(),
-            enc,
-            partitions: HashMap::new(),
-            attr_codes: HashMap::new(),
-            scratch: RefineScratch::default(),
-            products: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// The relation the cache serves.
-    ///
-    /// # Panics
-    ///
-    /// If the cache was built by [`Self::from_encoding`], which carries no
-    /// row store.
     pub fn relation(&self) -> &'r Relation {
         self.rel
-            .expect("PartitionCache::from_encoding carries no row store")
     }
 
     /// Order-preserving dense codes of one column — an O(1) view into the
@@ -617,7 +585,7 @@ impl<'r> PartitionCache<'r> {
         }
         self.misses += 1;
         let part = match set.last() {
-            None => StrippedPartition::full(self.n_rows),
+            None => StrippedPartition::full(self.rel.len()),
             Some(last) => {
                 // Compose from the partition of X minus its last attribute —
                 // under level-wise traversal that subset is already cached,
@@ -701,10 +669,7 @@ impl<'r> PartitionCache<'r> {
                         base: b,
                         codes: &c[..],
                     },
-                    Aux::Product(cc) => RefineJob::Product {
-                        base: b,
-                        other: cc,
-                    },
+                    Aux::Product(cc) => RefineJob::Product { base: b, other: cc },
                 })
             })
             .collect();

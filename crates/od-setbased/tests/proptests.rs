@@ -27,6 +27,25 @@ fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Rela
     })
 }
 
+/// Strategy: duplicate-heavy relations mixing small ints, NULLs and strings,
+/// so partitions have real classes at a few dozen rows and some statements
+/// hold while others fail.
+fn mixed_relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
+    let value = (0u8..8).prop_map(|k| match k {
+        0..=3 => Value::Int(i64::from(k) % 3),
+        4 | 5 => Value::Null,
+        6 => Value::Str("x".into()),
+        _ => Value::Int(9),
+    });
+    prop::collection::vec(prop::collection::vec(value, cols), 0..max_rows).prop_map(move |rows| {
+        let mut schema = Schema::new("mixed");
+        for i in 0..cols {
+            schema.add_attr(format!("c{i}"));
+        }
+        Relation::from_rows(schema, rows).expect("arity is fixed by construction")
+    })
+}
+
 /// Strategy: an attribute list over `cols` columns with length up to `max_len`
 /// (duplicates allowed — normalization is part of what is under test).
 fn list_strategy(cols: usize, max_len: usize) -> impl Strategy<Value = AttrList> {
@@ -332,16 +351,59 @@ proptest! {
     #[test]
     fn width4_sharded_traversal_is_deterministic(
         rel in relation_strategy(5, 12),
+        mixed in mixed_relation_strategy(4, 28),
     ) {
-        let config = LatticeConfig { max_context: 4, ..Default::default() };
-        let serial = discover_statements(&rel, &config);
-        let par = discover_statements(
-            &rel,
-            &LatticeConfig { threads: 4, ..config },
-        );
-        prop_assert_eq!(serial.minimal_statements(), par.minimal_statements());
-        prop_assert_eq!(serial.verdicts(), par.verdicts());
-        prop_assert_eq!(serial.stats, par.stats);
+        assert_thread_invariant(&rel);
+        assert_thread_invariant(&mixed);
+    }
+}
+
+/// Assert the full result surface of a width-4 traversal — minimal
+/// statements, verdicts (witness pairs included), [`LatticeStats`] and
+/// per-level stats — is identical at 1, 2 and 4 threads, exact and under a
+/// `g3` budget.  ε = 0.02 leaves the budget at 0 below 50 rows (decider on);
+/// ε = 0.25 makes small relations take the budgeted, decider-off path.
+///
+/// [`LatticeStats`]: od_setbased::LatticeStats
+fn assert_thread_invariant(rel: &Relation) {
+    for epsilon in [0.0, 0.02, 0.25] {
+        let config = LatticeConfig {
+            max_context: 4,
+            epsilon,
+            ..Default::default()
+        };
+        let serial = discover_statements(rel, &config);
+        for threads in [1, 2, 4] {
+            let sharded = discover_statements(rel, &LatticeConfig { threads, ..config });
+            let at = format!("threads={threads}, ε={epsilon}");
+            assert_eq!(
+                serial.minimal_statements(),
+                sharded.minimal_statements(),
+                "{at}"
+            );
+            assert_eq!(serial.verdicts(), sharded.verdicts(), "{at}");
+            assert_eq!(serial.stats, sharded.stats, "{at}");
+            assert_eq!(serial.level_stats(), sharded.level_stats(), "{at}");
+        }
+    }
+}
+
+/// Fixed edge cases for [`assert_thread_invariant`]: the taxes fixture, an
+/// empty two-column relation, and a one-column relation (more threads than
+/// attributes, so the extra shards stay idle).
+#[test]
+fn fixed_relations_are_thread_invariant() {
+    let mut empty = Schema::new("empty");
+    empty.add_attr("a");
+    empty.add_attr("b");
+    let mut one = Schema::new("one");
+    one.add_attr("a");
+    for rel in [
+        od_core::fixtures::example_5_taxes(),
+        Relation::from_rows(empty, Vec::<Vec<Value>>::new()).unwrap(),
+        Relation::from_rows(one, [1, 1, 2].map(|v| vec![Value::Int(v)])).unwrap(),
+    ] {
+        assert_thread_invariant(&rel);
     }
 }
 
