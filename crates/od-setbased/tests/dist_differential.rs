@@ -1,21 +1,21 @@
-//! Worker-count invariance of the distributed lattice traversal.
+//! Worker-count invariance of the lattice traversal.
 //!
-//! The distributed engine reruns the exact control-plane loop of the
-//! threaded engine, so everything it returns — minimal statements, verdicts
-//! (witness pairs included), `LatticeStats`, per-level stats — must be
-//! bit-identical to `discover_statements` at every worker count, exact and
-//! under a `g3` budget.  Workers here are in-process protocol threads
-//! ([`WorkerLauncher::in_process`]): every frame codec, shard merge, and
-//! ledger path runs, without per-case process startup.  (Real self-exec'd
-//! processes are exercised by `od-bench/tests/dist_speed.rs` and the E17 CI
-//! run; process *crash* coverage lives at the bottom of this file.)
+//! `discover_statements` distributes context expansion and statement
+//! validation over a pool of worker threads.  Everything it returns —
+//! minimal statements, verdicts (witness pairs included), `LatticeStats`,
+//! per-level stats — must be bit-identical at every worker count, exact and
+//! under a `g3` budget.  The checks are in [`assert_thread_invariant`]; this
+//! file feeds it fixed edge cases and duplicate-heavy mixed-type relations.
 
 use od_core::{Relation, Schema, Value};
-use od_setbased::{discover_statements, discover_statements_dist, LatticeConfig, WorkerLauncher};
 use proptest::prelude::*;
 
-/// Duplicate-heavy mixed-type values so partitions have real classes at a
-/// few dozen rows and some statements hold while others fail.
+mod common;
+use common::assert_thread_invariant;
+
+/// Duplicate-heavy values mixing small ints, NULLs and strings, so
+/// partitions have real classes at a few dozen rows and some statements hold
+/// while others fail.
 fn value_strategy() -> impl Strategy<Value = Value> {
     (0u8..8).prop_map(|k| match k {
         0..=3 => Value::Int(i64::from(k) % 3),
@@ -37,49 +37,9 @@ fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Rela
     )
 }
 
-/// Assert the full result surface matches between the threaded engine and
-/// the distributed one at `workers`, for one `(relation, epsilon)` pair.
-fn assert_worker_invariant(rel: &Relation, epsilon: f64, workers: usize) {
-    let base_config = LatticeConfig {
-        epsilon,
-        ..Default::default()
-    };
-    let local = discover_statements(rel, &base_config);
-    let config = LatticeConfig {
-        workers,
-        ..base_config
-    };
-    let (dist, stats) = discover_statements_dist(rel, &config, &WorkerLauncher::in_process())
-        .expect("in-process distributed discovery");
-    assert_eq!(
-        local.minimal_statements(),
-        dist.minimal_statements(),
-        "minimal statements drifted (workers={workers}, ε={epsilon})"
-    );
-    assert_eq!(
-        local.verdicts(),
-        dist.verdicts(),
-        "verdicts drifted (workers={workers}, ε={epsilon})"
-    );
-    assert_eq!(
-        local.stats, dist.stats,
-        "lattice stats drifted (workers={workers}, ε={epsilon})"
-    );
-    assert_eq!(
-        local.level_stats(),
-        dist.level_stats(),
-        "per-level stats drifted (workers={workers}, ε={epsilon})"
-    );
-    assert_eq!(stats.workers, workers);
-}
-
 #[test]
 fn taxes_fixture_is_worker_invariant_exact_and_budgeted() {
-    let rel = od_core::fixtures::example_5_taxes();
-    for workers in [1, 2, 4] {
-        assert_worker_invariant(&rel, 0.0, workers);
-        assert_worker_invariant(&rel, 0.02, workers);
-    }
+    assert_thread_invariant(&od_core::fixtures::example_5_taxes());
 }
 
 #[test]
@@ -88,141 +48,25 @@ fn empty_relation_is_worker_invariant() {
     schema.add_attr("a");
     schema.add_attr("b");
     let rel = Relation::from_rows(schema, Vec::<Vec<Value>>::new()).unwrap();
-    for workers in [1, 2, 4] {
-        assert_worker_invariant(&rel, 0.0, workers);
-    }
+    assert_thread_invariant(&rel);
 }
 
 #[test]
 fn single_attribute_relation_is_worker_invariant() {
     let mut schema = Schema::new("one");
     schema.add_attr("a");
-    let rows: Vec<Vec<Value>> = vec![
-        vec![Value::Int(1)],
-        vec![Value::Int(1)],
-        vec![Value::Int(2)],
-    ];
-    let rel = Relation::from_rows(schema, rows).unwrap();
-    // More workers than attributes: the extra shards stay idle but the
-    // protocol (snapshot, prewarm, empty refine groups) must still converge.
-    for workers in [1, 4] {
-        assert_worker_invariant(&rel, 0.0, workers);
-    }
+    let rel = Relation::from_rows(schema, [1, 1, 2].map(|v| vec![Value::Int(v)])).unwrap();
+    // More workers than attributes: the extra shards stay idle.
+    assert_thread_invariant(&rel);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random duplicate-heavy relations: the threaded engine and the
-    /// distributed engine agree bit-for-bit at 1, 2, and 4 workers, at ε=0
-    /// (decider active) and ε=0.02 (budgeted scans, decider gated off).
+    /// Random duplicate-heavy relations: the traversal agrees bit-for-bit
+    /// at 1, 2 and 4 workers.
     #[test]
     fn random_relations_are_worker_invariant(rel in relation_strategy(4, 28)) {
-        for workers in [1, 2, 4] {
-            assert_worker_invariant(&rel, 0.0, workers);
-            assert_worker_invariant(&rel, 0.02, workers);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process crash coverage: killed children must surface as clean `DistError`s
-// — never a hang — and the coordinator must reap every child it spawned.
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod crash {
-    use od_setbased::{discover_statements_dist, DistError, LatticeConfig, WorkerLauncher};
-    use std::sync::mpsc;
-    use std::time::{Duration, Instant};
-
-    /// Zombie children of this process (reaped children disappear entirely;
-    /// an unreaped dead child shows as state `Z`).
-    fn zombie_children() -> usize {
-        let me = std::process::id().to_string();
-        let mut zombies = 0;
-        for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
-            if !entry.file_name().to_string_lossy().bytes().all(|b| b.is_ascii_digit()) {
-                continue;
-            }
-            let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
-                continue;
-            };
-            // /proc/<pid>/stat: pid (comm) state ppid ...  comm may hold
-            // spaces, so parse from after the last ')'.
-            let Some(rest) = stat.rsplit_once(')').map(|(_, r)| r) else {
-                continue;
-            };
-            let mut fields = rest.split_whitespace();
-            let state = fields.next().unwrap_or("");
-            let ppid = fields.next().unwrap_or("");
-            if state == "Z" && ppid == me {
-                zombies += 1;
-            }
-        }
-        zombies
-    }
-
-    #[test]
-    fn killed_children_error_cleanly_and_are_reaped() {
-        let rel = od_core::fixtures::example_5_taxes();
-        // Each "worker" SIGKILLs itself on startup — the hard-crash shape: no
-        // clean exit code, pipes torn down by the kernel.
-        let launcher =
-            WorkerLauncher::command("sh", ["-c".to_string(), "kill -9 $$".to_string()]);
-        let config = LatticeConfig {
-            workers: 3,
-            ..Default::default()
-        };
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(discover_statements_dist(&rel, &config, &launcher));
-        });
-        // The watchdog is the "no hang" assertion.
-        let result = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("coordinator hung on killed workers");
-        let err = result.expect_err("killed workers cannot produce a discovery");
-        assert!(
-            matches!(err, DistError::Worker { .. } | DistError::Protocol { .. }),
-            "unexpected error: {err}"
-        );
-        let rendered = err.to_string();
-        assert!(!rendered.is_empty());
-        // Every child was force-reaped when the pool dropped.  Other tests in
-        // this binary may be mid-spawn, so poll briefly instead of asserting
-        // a single instantaneous snapshot.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let z = zombie_children();
-            if z == 0 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "{z} zombie children remain after DistError"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-
-    #[test]
-    fn worker_that_closes_stdout_immediately_errors_cleanly() {
-        let rel = od_core::fixtures::example_5_taxes();
-        // Exits 0 after reading nothing: the coordinator sees EOF where Ready
-        // was expected.
-        let launcher = WorkerLauncher::command("true", Vec::<String>::new());
-        let config = LatticeConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(discover_statements_dist(&rel, &config, &launcher));
-        });
-        let result = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("coordinator hung on an exiting worker");
-        assert!(result.is_err());
+        assert_thread_invariant(&rel);
     }
 }

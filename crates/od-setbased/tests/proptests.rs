@@ -10,6 +10,9 @@ use od_setbased::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::assert_thread_invariant;
+
 /// Strategy: a relation with `cols` integer columns and up to `max_rows` rows
 /// of small values (small domains make splits and swaps likely).
 fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
@@ -24,25 +27,6 @@ fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Rela
                 .map(|r| r.into_iter().map(Value::Int).collect()),
         )
         .expect("arity is fixed by construction")
-    })
-}
-
-/// Strategy: duplicate-heavy relations mixing small ints, NULLs and strings,
-/// so partitions have real classes at a few dozen rows and some statements
-/// hold while others fail.
-fn mixed_relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
-    let value = (0u8..8).prop_map(|k| match k {
-        0..=3 => Value::Int(i64::from(k) % 3),
-        4 | 5 => Value::Null,
-        6 => Value::Str("x".into()),
-        _ => Value::Int(9),
-    });
-    prop::collection::vec(prop::collection::vec(value, cols), 0..max_rows).prop_map(move |rows| {
-        let mut schema = Schema::new("mixed");
-        for i in 0..cols {
-            schema.add_attr(format!("c{i}"));
-        }
-        Relation::from_rows(schema, rows).expect("arity is fixed by construction")
     })
 }
 
@@ -347,62 +331,12 @@ proptest! {
     }
 
     /// Context-sharded expansion and batched validation stay bit-identical to
-    /// the serial traversal on arbitrary relations at width 4.
+    /// the serial traversal on arbitrary relations at width 4.  (Mixed-type
+    /// relations and fixed edge cases are in `dist_differential.rs`.)
     #[test]
     fn width4_sharded_traversal_is_deterministic(
         rel in relation_strategy(5, 12),
-        mixed in mixed_relation_strategy(4, 28),
     ) {
-        assert_thread_invariant(&rel);
-        assert_thread_invariant(&mixed);
-    }
-}
-
-/// Assert the full result surface of a width-4 traversal — minimal
-/// statements, verdicts (witness pairs included), [`LatticeStats`] and
-/// per-level stats — is identical at 1, 2 and 4 threads, exact and under a
-/// `g3` budget.  ε = 0.02 leaves the budget at 0 below 50 rows (decider on);
-/// ε = 0.25 makes small relations take the budgeted, decider-off path.
-///
-/// [`LatticeStats`]: od_setbased::LatticeStats
-fn assert_thread_invariant(rel: &Relation) {
-    for epsilon in [0.0, 0.02, 0.25] {
-        let config = LatticeConfig {
-            max_context: 4,
-            epsilon,
-            ..Default::default()
-        };
-        let serial = discover_statements(rel, &config);
-        for threads in [1, 2, 4] {
-            let sharded = discover_statements(rel, &LatticeConfig { threads, ..config });
-            let at = format!("threads={threads}, ε={epsilon}");
-            assert_eq!(
-                serial.minimal_statements(),
-                sharded.minimal_statements(),
-                "{at}"
-            );
-            assert_eq!(serial.verdicts(), sharded.verdicts(), "{at}");
-            assert_eq!(serial.stats, sharded.stats, "{at}");
-            assert_eq!(serial.level_stats(), sharded.level_stats(), "{at}");
-        }
-    }
-}
-
-/// Fixed edge cases for [`assert_thread_invariant`]: the taxes fixture, an
-/// empty two-column relation, and a one-column relation (more threads than
-/// attributes, so the extra shards stay idle).
-#[test]
-fn fixed_relations_are_thread_invariant() {
-    let mut empty = Schema::new("empty");
-    empty.add_attr("a");
-    empty.add_attr("b");
-    let mut one = Schema::new("one");
-    one.add_attr("a");
-    for rel in [
-        od_core::fixtures::example_5_taxes(),
-        Relation::from_rows(empty, Vec::<Vec<Value>>::new()).unwrap(),
-        Relation::from_rows(one, [1, 1, 2].map(|v| vec![Value::Int(v)])).unwrap(),
-    ] {
         assert_thread_invariant(&rel);
     }
 }
