@@ -15,10 +15,9 @@
 //! complete, exact removal count.  For rejected verdicts the overshoot and the
 //! witness sample depend on scheduling.
 
-use crate::partition::{ClassCodes, RefineScratch, StrippedPartition};
+use crate::partition::{ClassCodes, ColCodes, RefineScratch, StrippedPartition};
 use crate::validate::{
-    class_compatibility_removal, class_constancy_removal, class_is_compatible, class_is_constant,
-    ClassCode, Verdict, WITNESS_SAMPLE_CAP,
+    class_compatibility_removal, class_constancy_removal, ClassScratch, Verdict, WITNESS_SAMPLE_CAP,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -29,18 +28,23 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Scan every class of `part` with `per_class` (which returns the class's
-/// removal count and may append witnesses), sharded over up to `threads`
-/// threads, stopping once the summed removal count exceeds `budget`.  Classes
-/// are read directly as CSR slices; workers claim contiguous index ranges.
-pub fn scan_classes<F>(
+/// Scan every class of `part` with `per_class`, sharded over up to `threads`
+/// threads, stopping once the summed removal count exceeds `budget`.
+///
+/// `per_class(class, allowance, scratch, witnesses)` returns the class's
+/// removal count and may append witnesses; `allowance` is what is left of the
+/// budget, and a class may stop early with any count above it.  The serial
+/// scan reuses `scratch`; each spawned thread owns its own.  Classes are read
+/// directly as CSR slices; workers claim contiguous index ranges.
+pub(crate) fn scan_classes<F>(
     part: &StrippedPartition,
     threads: usize,
     budget: usize,
+    scratch: &mut ClassScratch<u32>,
     per_class: F,
 ) -> Verdict
 where
-    F: Fn(&[u32], &mut Vec<(u32, u32)>) -> usize + Sync,
+    F: Fn(&[u32], usize, &mut ClassScratch<u32>, &mut Vec<(u32, u32)>) -> usize + Sync,
 {
     let n_classes = part.num_classes();
     let threads = threads.clamp(1, n_classes.max(1));
@@ -48,7 +52,9 @@ where
         let mut verdict = Verdict::clean();
         for class in part.classes() {
             verdict.classes_scanned += 1;
-            verdict.removal_count += per_class(class, &mut verdict.violating_pairs);
+            let allowance = budget - verdict.removal_count;
+            verdict.removal_count +=
+                per_class(class, allowance, scratch, &mut verdict.violating_pairs);
             if verdict.removal_count > budget {
                 verdict.exceeded = true;
                 break;
@@ -71,6 +77,7 @@ where
             let exceeded = &exceeded;
             let per_class = &per_class;
             handles.push(scope.spawn(move || {
+                let mut scratch = ClassScratch::default();
                 let mut local_witnesses = Vec::new();
                 let mut local_scanned = 0usize;
                 for i in start..end {
@@ -78,7 +85,10 @@ where
                         break;
                     }
                     local_scanned += 1;
-                    let r = per_class(part.class(i), &mut local_witnesses);
+                    // Other threads only add to the total, so this allowance
+                    // never overstates what is left of the budget.
+                    let allowance = budget.saturating_sub(removal.load(Ordering::Relaxed));
+                    let r = per_class(part.class(i), allowance, &mut scratch, &mut local_witnesses);
                     if r > 0 {
                         let total = removal.fetch_add(r, Ordering::Relaxed) + r;
                         if total > budget {
@@ -110,71 +120,68 @@ where
     }
 }
 
-/// Parallel variant of [`crate::validate::constancy_verdict`].
-pub fn constancy_verdict_parallel<C: ClassCode>(
-    part: &StrippedPartition,
-    codes: &[C],
-    threads: usize,
-    budget: usize,
-) -> Verdict {
-    scan_classes(part, threads, budget, |class, witnesses| {
-        if class_is_constant(class, codes) {
-            0
-        } else {
-            class_constancy_removal(class, codes, witnesses)
-        }
-    })
-}
-
-/// Parallel variant of [`crate::validate::compatibility_verdict`].
-pub fn compatibility_verdict_parallel<C: ClassCode>(
-    part: &StrippedPartition,
-    codes_a: &[C],
-    codes_b: &[C],
-    threads: usize,
-    budget: usize,
-) -> Verdict {
-    scan_classes(part, threads, budget, |class, witnesses| {
-        if class_is_compatible(class, codes_a, codes_b) {
-            0
-        } else {
-            class_compatibility_removal(class, codes_a, codes_b, witnesses)
-        }
-    })
-}
-
-/// One statement's pre-resolved inputs for a batched validation pass: the
-/// context's stripped partition plus the rank codes of the mentioned
-/// attribute(s).  Building the jobs (partition products, code lookups) stays
-/// serial — the caches hand out `Rc`s — while the scans themselves are
-/// shared-nothing reads.
+/// One statement's pre-resolved inputs: the context's stripped partition plus
+/// the rank codes of the mentioned attribute(s).  Building the jobs
+/// (partition products, code lookups) stays serial — the caches hand out
+/// `Rc`s — while the scans themselves are shared-nothing reads.
 pub enum StatementJob<'a> {
     /// `𝒞 : [] ↦ A` over `part` with `A`'s codes.
     Constancy {
         /// Stripped partition of the context `𝒞`.
         part: &'a StrippedPartition,
         /// Rank codes of the constant attribute.
-        codes: &'a [u32],
+        codes: &'a ColCodes,
     },
     /// `𝒞 : A ~ B` over `part` with both attributes' codes.
     Compatibility {
         /// Stripped partition of the context `𝒞`.
         part: &'a StrippedPartition,
         /// Rank codes of the pair's smaller attribute.
-        codes_a: &'a [u32],
+        codes_a: &'a ColCodes,
         /// Rank codes of the pair's larger attribute.
-        codes_b: &'a [u32],
+        codes_b: &'a ColCodes,
     },
+}
+
+impl StatementJob<'_> {
+    /// Validate the statement, sharding its classes over up to `threads`
+    /// threads and stopping once the removal count exceeds `budget`.
+    pub fn verdict(&self, threads: usize, budget: usize) -> Verdict {
+        self.scan(threads, budget, &mut ClassScratch::default())
+    }
+
+    fn scan(&self, threads: usize, budget: usize, scratch: &mut ClassScratch<u32>) -> Verdict {
+        match *self {
+            StatementJob::Constancy { part, codes } => {
+                let (codes, domain): (&[u32], _) = (codes, codes.domain());
+                scan_classes(part, threads, budget, scratch, |class, allowance, s, w| {
+                    class_constancy_removal(class, codes, domain, allowance, s, w)
+                })
+            }
+            StatementJob::Compatibility {
+                part,
+                codes_a,
+                codes_b,
+            } => {
+                let domain_a = codes_a.domain();
+                let (codes_a, codes_b): (&[u32], &[u32]) = (codes_a, codes_b);
+                scan_classes(part, threads, budget, scratch, |class, allowance, s, w| {
+                    class_compatibility_removal(class, codes_a, domain_a, codes_b, allowance, s, w)
+                })
+            }
+        }
+    }
 }
 
 /// Validate a whole level's surviving statements in one sharded pass.
 ///
-/// Where [`scan_classes`] parallelizes *within* one statement (sharding one
+/// Where `scan_classes` parallelizes *within* one statement (sharding one
 /// partition's classes), this shards *across* statements: each job is scanned
 /// serially by exactly one thread, jobs are claimed from a shared atomic
 /// cursor (statement costs vary wildly — a level's empty-context statement
 /// covers every row while its key-adjacent ones cover almost none, so static
-/// chunking would straggle), and the verdicts come back in job order.  Because
+/// chunking would straggle), and the verdicts come back in job order.  Each
+/// worker reuses one `ClassScratch` across all the jobs it claims.  Because
 /// every scan is the serial scan, the returned verdicts — witnesses, exact
 /// overshoot and all — are bit-identical on every thread count.
 pub fn validate_statement_batch(
@@ -182,19 +189,13 @@ pub fn validate_statement_batch(
     threads: usize,
     budget: usize,
 ) -> Vec<Verdict> {
-    let run = |job: &StatementJob<'_>| match job {
-        StatementJob::Constancy { part, codes } => {
-            constancy_verdict_parallel(part, codes, 1, budget)
-        }
-        StatementJob::Compatibility {
-            part,
-            codes_a,
-            codes_b,
-        } => compatibility_verdict_parallel(part, codes_a, codes_b, 1, budget),
-    };
     let threads = threads.clamp(1, jobs.len().max(1));
     if threads <= 1 || jobs.len() < 2 {
-        return jobs.iter().map(run).collect();
+        let mut scratch = ClassScratch::default();
+        return jobs
+            .iter()
+            .map(|job| job.scan(1, budget, &mut scratch))
+            .collect();
     }
     let cursor = AtomicUsize::new(0);
     let mut out: Vec<Option<Verdict>> = vec![None; jobs.len()];
@@ -202,15 +203,15 @@ pub fn validate_statement_batch(
         let mut handles = Vec::new();
         for _ in 0..threads {
             let cursor = &cursor;
-            let run = &run;
             handles.push(scope.spawn(move || {
+                let mut scratch = ClassScratch::default();
                 let mut local = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= jobs.len() {
                         break;
                     }
-                    local.push((i, run(&jobs[i])));
+                    local.push((i, jobs[i].scan(1, budget, &mut scratch)));
                 }
                 local
             }));
@@ -264,7 +265,7 @@ impl RefineJob<'_> {
 /// claimed from contiguous chunks with one reused [`RefineScratch`] per
 /// worker; every job is a pure function of its inputs, so the output vector is
 /// bit-identical on every thread count.  This is the third sharding axis of
-/// the crate — classes within a scan ([`scan_classes`]), statements within a
+/// the crate — classes within a scan (`scan_classes`), statements within a
 /// level ([`validate_statement_batch`]), and now contexts within a level
 /// expansion.
 ///
@@ -320,7 +321,7 @@ pub fn refine_batch(
 
 /// Run `patch` over every ledger, sharded over up to `threads` threads.
 ///
-/// This is the streaming counterpart of [`scan_classes`]: where a snapshot
+/// This is the streaming counterpart of `scan_classes`: where a snapshot
 /// scan shards the *classes* of one partition, a delta patch shards the
 /// *ledgers* — each [`crate::stream::VerdictLedger`] owns its per-class state
 /// and reads only shared immutable structures (partitions, column codes), so
@@ -354,7 +355,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::{compatibility_verdict, constancy_verdict};
+    use crate::partition::PartitionCache;
     use od_core::{AttrId, Relation, Schema, Value};
 
     fn rel_with_groups(groups: usize, per_group: usize) -> Relation {
@@ -371,29 +372,36 @@ mod tests {
         Relation::from_rows(schema, rows).unwrap()
     }
 
+    /// The `(g, a, b)` code columns of a three-column relation.
+    fn columns(rel: &Relation) -> [ColCodes; 3] {
+        let cache = PartitionCache::new(rel);
+        [0, 1, 2].map(|i| cache.codes(AttrId(i)))
+    }
+
     #[test]
     fn parallel_agrees_with_serial() {
         let rel = rel_with_groups(23, 7);
-        let g = rel.rank_column(AttrId(0));
-        let a = rel.rank_column(AttrId(1));
-        let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
+        let [g, a, b] = columns(&rel);
+        let part = StrippedPartition::by_codes(&g);
+        let constancy = |codes| StatementJob::Constancy { part: &part, codes };
+        let compat = StatementJob::Compatibility {
+            part: &part,
+            codes_a: &a,
+            codes_b: &b,
+        };
         for threads in [1, 2, 4, 16] {
             // Unlimited budget: removal counts are exact on any thread count.
-            let c = constancy_verdict_parallel(&part, &a, threads, usize::MAX);
+            let c = constancy(&a).verdict(threads, usize::MAX);
             assert_eq!(
                 c.removal_count,
-                constancy_verdict(&part, &a, usize::MAX).removal_count
+                constancy(&a).verdict(1, usize::MAX).removal_count
             );
             assert_eq!(c.classes_scanned, part.num_classes());
-            let k = compatibility_verdict_parallel(&part, &a, &b, threads, usize::MAX);
-            assert_eq!(
-                k.removal_count,
-                compatibility_verdict(&part, &a, &b, usize::MAX).removal_count
-            );
+            let k = compat.verdict(threads, usize::MAX);
+            assert_eq!(k.removal_count, compat.verdict(1, usize::MAX).removal_count);
         }
         // Constancy of g itself within g-classes holds on any thread count.
-        assert!(constancy_verdict_parallel(&part, &g, 4, 0).holds());
+        assert!(constancy(&g).verdict(4, 0).holds());
     }
 
     #[test]
@@ -409,29 +417,42 @@ mod tests {
             rows.push(vec![Value::Int(g), Value::Int(1), Value::Int(0)]);
         }
         let rel = Relation::from_rows(schema, rows).unwrap();
-        let g = rel.rank_column(AttrId(0));
-        let a = rel.rank_column(AttrId(1));
-        let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
-        let k = compatibility_verdict_parallel(&part, &a, &b, 8, 0);
+        let [g, a, b] = columns(&rel);
+        let part = StrippedPartition::by_codes(&g);
+        let compat = StatementJob::Compatibility {
+            part: &part,
+            codes_a: &a,
+            codes_b: &b,
+        };
+        let k = compat.verdict(8, 0);
         assert!(!k.holds() && k.exceeded && !k.within(0));
         assert!(!k.violating_pairs.is_empty());
-        let c = constancy_verdict_parallel(&part, &a, 8, 0);
-        assert!(!c.holds());
+        let c = StatementJob::Constancy {
+            part: &part,
+            codes: &a,
+        }
+        .verdict(8, 0);
+        assert!(!c.holds() && !c.violating_pairs.is_empty());
         // With one removal per class and 40 classes, a budget of 39 is a near
         // miss and 40 accepts: the decision matches on every thread count.
         for threads in [1, 3, 8] {
-            assert!(!compatibility_verdict_parallel(&part, &a, &b, threads, 39).within(39));
-            assert!(compatibility_verdict_parallel(&part, &a, &b, threads, 40).within(40));
+            assert!(!compat.verdict(threads, 39).within(39));
+            assert!(compat.verdict(threads, 40).within(40));
         }
     }
 
     #[test]
     fn degenerate_inputs() {
-        let part = crate::partition::StrippedPartition::full(0);
-        assert!(constancy_verdict_parallel::<u32>(&part, &[], 4, 0).holds());
+        let part = StrippedPartition::full(0);
+        let rel = rel_with_groups(0, 0);
+        let [g, ..] = columns(&rel);
+        let job = StatementJob::Constancy {
+            part: &part,
+            codes: &g,
+        };
+        assert!(job.verdict(4, 0).holds());
         assert!(
-            scan_classes(&part, 4, 0, |_, _| 1).holds(),
+            scan_classes(&part, 4, 0, &mut ClassScratch::default(), |_, _, _, _| 1).holds(),
             "vacuous truth over no classes"
         );
         assert!(available_threads() >= 1);
@@ -440,10 +461,8 @@ mod tests {
     #[test]
     fn statement_batch_matches_serial_scans_on_any_thread_count() {
         let rel = rel_with_groups(17, 5);
-        let g = rel.rank_column(AttrId(0));
-        let a = rel.rank_column(AttrId(1));
-        let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
+        let [g, a, b] = columns(&rel);
+        let part = StrippedPartition::by_codes(&g);
         let jobs = vec![
             StatementJob::Constancy {
                 part: &part,
@@ -459,13 +478,17 @@ mod tests {
                 codes: &g,
             },
         ];
-        let serial = validate_statement_batch(&jobs, 1, usize::MAX);
-        for threads in [2, 4, 16] {
-            let batched = validate_statement_batch(&jobs, threads, usize::MAX);
-            assert_eq!(serial, batched, "threads = {threads}");
+        for budget in [0, 3, usize::MAX] {
+            let serial = validate_statement_batch(&jobs, 1, budget);
+            for threads in [2, 4, 16] {
+                let batched = validate_statement_batch(&jobs, threads, budget);
+                assert_eq!(serial, batched, "threads = {threads}, budget = {budget}");
+            }
+            if budget == usize::MAX {
+                assert_eq!(serial[0].removal_count, 17 * 4);
+            }
+            assert!(serial[1].holds() && serial[2].holds());
         }
-        assert_eq!(serial[0].removal_count, 17 * 4);
-        assert!(serial[1].holds() && serial[2].holds());
         assert!(validate_statement_batch(&[], 8, 0).is_empty());
     }
 

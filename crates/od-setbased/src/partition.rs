@@ -70,6 +70,11 @@ impl ColCodes {
     pub fn new(enc: Arc<ColumnarEncoding>, col: usize) -> Self {
         ColCodes { enc, col }
     }
+
+    /// `|dom A|`: the number of distinct codes, which lie in `0..domain()`.
+    pub fn domain(&self) -> usize {
+        self.enc.column(self.col).distinct_count()
+    }
 }
 
 impl std::ops::Deref for ColCodes {

@@ -53,7 +53,8 @@ use crate::canonical::{translate_od, SetOd};
 use crate::obs;
 use crate::parallel;
 use crate::validate::{
-    class_compatibility_removal, class_constancy_removal, error_budget, Verdict, WITNESS_SAMPLE_CAP,
+    class_compatibility_removal, class_constancy_removal, error_budget, ClassScratch, Verdict,
+    WITNESS_SAMPLE_CAP,
 };
 use od_core::{radix, AttrId, AttrSet, OrderDependency, Relation, Schema, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -1353,15 +1354,23 @@ impl StreamMonitor {
 
     /// Append witness pairs for one violating class (up to the shared cap).
     fn witnesses_for(&self, stmt: &SetOd, class: &[u32], witnesses: &mut Vec<(u32, u32)>) {
+        // Gapped live codes have no dense domain (`usize::MAX`), so both
+        // removals take the sorted path, scanned in full.
+        let scratch = &mut ClassScratch::default();
         match stmt {
             SetOd::Constancy { attr, .. } => {
-                class_constancy_removal(class, self.columns[attr].codes(), witnesses);
+                let codes = self.columns[attr].codes();
+                class_constancy_removal(class, codes, usize::MAX, usize::MAX, scratch, witnesses);
             }
             SetOd::Compatibility { a, b, .. } => {
+                let (ca, cb) = (self.columns[a].codes(), self.columns[b].codes());
                 class_compatibility_removal(
                     class,
-                    self.columns[a].codes(),
-                    self.columns[b].codes(),
+                    ca,
+                    usize::MAX,
+                    cb,
+                    usize::MAX,
+                    scratch,
                     witnesses,
                 );
             }

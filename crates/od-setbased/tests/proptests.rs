@@ -9,6 +9,7 @@ use od_setbased::{
     SetBasedEngine, SetOd,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 mod common;
 use common::assert_thread_invariant;
@@ -338,6 +339,112 @@ proptest! {
         rel in relation_strategy(5, 12),
     ) {
         assert_thread_invariant(&rel);
+    }
+}
+
+/// Strategy: `cols` random NULL/string/int columns of small domains, plus an
+/// all-equal column (`|dom| = 1`) and a wide column with a few ties
+/// (`|dom| > n/2`), over `rows` rows (one row included when the range
+/// allows).  Under the empty context every class is the whole relation, so
+/// statements take the dense path; classes of the random columns are smaller
+/// than the wide column's domain, so statements over it take the sorted path.
+fn mixed_relation_strategy(
+    cols: usize,
+    rows: std::ops::Range<usize>,
+) -> impl Strategy<Value = Relation> {
+    let value = (0u8..6).prop_map(|k| match k {
+        0..=2 => Value::Int(i64::from(k)),
+        3 => Value::Null,
+        4 => Value::Str("x".into()),
+        _ => Value::Str("y".into()),
+    });
+    prop::collection::vec(prop::collection::vec(value, cols), rows).prop_map(move |rows| {
+        let mut schema = Schema::new("mixed");
+        for i in 0..cols + 2 {
+            schema.add_attr(format!("c{i}"));
+        }
+        let tuples = rows.into_iter().enumerate().map(|(i, mut r)| {
+            r.push(Value::Int(7));
+            r.push(Value::Int((i * 3 / 4) as i64));
+            r
+        });
+        Relation::from_rows(schema, tuples).expect("arity fixed by construction")
+    })
+}
+
+/// Check every statement's verdict at the budgets {0, 1, 2, ⌊n/4⌋, ∞}
+/// against the sort-based oracle (`od_core::check::od_removal_count` of the
+/// statement's list OD): an accepted verdict carries the exact count, an
+/// exceeded one a count in `(budget, oracle]`, and a rejected one at least
+/// one genuine split or swap witness.
+fn assert_budgeted_verdicts_match_oracle(
+    rel: &Relation,
+    stmts: &[SetOd],
+) -> Result<(), TestCaseError> {
+    let n = rel.len();
+    let mut cache = PartitionCache::new(rel);
+    let codes: Vec<_> = rel.schema().attr_ids().map(|a| cache.codes(a)).collect();
+    let code = |attr: AttrId, row: u32| codes[attr.index()][row as usize];
+    for stmt in stmts {
+        let oracle = od_removal_count(rel, &stmt.as_list_ods()[0]);
+        for budget in [0, 1, 2, n / 4, usize::MAX] {
+            let v = od_setbased::validate::statement_verdict(&mut cache, stmt, 1, budget);
+            let at = format!("{stmt} at budget {budget} on {n} rows (oracle {oracle})");
+            prop_assert_eq!(v.within(budget), oracle <= budget, "{}", at);
+            if v.within(budget) {
+                prop_assert_eq!(v.removal_count, oracle, "{}", at);
+                prop_assert!(!v.exceeded, "{}", at);
+                continue;
+            }
+            prop_assert!(v.exceeded, "{}", at);
+            prop_assert!(
+                budget < v.removal_count && v.removal_count <= oracle,
+                "{}",
+                at
+            );
+            prop_assert!(!v.violating_pairs.is_empty(), "{}: no witness", at);
+            for &(s, t) in &v.violating_pairs {
+                let same_context = stmt.context().iter().all(|c| code(c, s) == code(c, t));
+                let genuine = match *stmt {
+                    SetOd::Constancy { attr, .. } => code(attr, s) != code(attr, t),
+                    SetOd::Compatibility { a, b, .. } => {
+                        let order =
+                            |x: u32, y: u32| code(a, x) < code(a, y) && code(b, x) > code(b, y);
+                        order(s, t) || order(t, s)
+                    }
+                };
+                prop_assert!(s != t && same_context && genuine, "{}: ({}, {})", at, s, t);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Budgeted verdicts on small mixed-type relations, contexts up to two
+    /// attributes: dense whole-relation classes, sorted context classes,
+    /// single-row and all-equal inputs.
+    #[test]
+    fn budgeted_verdicts_match_sort_based_oracle(
+        rel in mixed_relation_strategy(2, 1..24),
+    ) {
+        assert_budgeted_verdicts_match_oracle(&rel, &all_statements(4, 2))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same pin on classes above `CLASS_RADIX_MIN` (256) rows, where the
+    /// sorted path sorts with radix passes and the dense path's `A`-groups
+    /// run long.
+    #[test]
+    fn budgeted_verdicts_match_oracle_on_radix_sized_classes(
+        rel in mixed_relation_strategy(2, 300..420),
+    ) {
+        assert_budgeted_verdicts_match_oracle(&rel, &all_statements(4, 1))?;
     }
 }
 
