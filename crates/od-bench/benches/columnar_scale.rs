@@ -1,8 +1,9 @@
 //! E14 bench — the columnar core's three hot paths on the scale table:
 //! relation build (dictionary encode included), all width-≤2 partition
-//! refinements on radix-bucketed code columns, and end-to-end width-2
-//! discovery.  Row counts stay moderate so the bench harness finishes in CI
-//! time; the full million-row numbers come from `reproduce -- e14`.
+//! refinements on code columns through the counting kernel, and end-to-end
+//! width-2 discovery.  Row counts stay moderate so the bench harness
+//! finishes in CI time; the full million-row numbers come from
+//! `reproduce -- e14`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use od_setbased::{discover_statements, LatticeConfig, RefineScratch, StrippedPartition};
@@ -25,7 +26,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| scale_relation(&cfg).len())
         });
 
-        group.bench_with_input(BenchmarkId::new("refine_radix", rows), &rows, |b, _| {
+        group.bench_with_input(BenchmarkId::new("refine_kernel", rows), &rows, |b, _| {
             let enc = rel.encoding();
             b.iter(|| {
                 let mut scratch = RefineScratch::default();

@@ -1,7 +1,7 @@
 //! E16 bench — partition products through the deep lattice: all ordered-pair
-//! products of the per-attribute CSR partitions on the radix and hash paths,
-//! and end-to-end width-4 discovery where every level ≥ 2 partition is a
-//! memoized radix product.  Row counts stay moderate so the bench harness
+//! products of the per-attribute CSR partitions on the counting-kernel and
+//! hash paths, and end-to-end width-4 discovery where every level ≥ 2
+//! partition is a memoized kernel product.  Row counts stay moderate so the bench harness
 //! finishes in CI time; the million-row numbers come from `reproduce -- e16`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
             .collect();
         let codes: Vec<ClassCodes> = parts.iter().map(StrippedPartition::class_codes).collect();
 
-        group.bench_with_input(BenchmarkId::new("product_radix", rows), &rows, |b, _| {
+        group.bench_with_input(BenchmarkId::new("product_kernel", rows), &rows, |b, _| {
             b.iter(|| {
                 let mut scratch = RefineScratch::default();
                 let mut classes = 0usize;

@@ -714,7 +714,7 @@ pub fn exp_e13_width4_with_metrics(
 }
 
 /// E14 — the columnar core at scale: struct-of-arrays dictionary encoding,
-/// radix-bucketed partition refinement, and width-2 discovery throughput on
+/// counting-kernel partition refinement, and width-2 discovery throughput on
 /// the million-row zipfian + sorted-with-noise table of
 /// [`od_workload::scale`].  Reports rows/sec for relation build (including
 /// the columnar encode), for partition refinement on code columns versus the
@@ -727,7 +727,7 @@ pub fn exp_e14_columnar(rows: usize) -> String {
 /// [`exp_e14_columnar`] under a scoped metrics registry, for
 /// `BENCH_e14.json`.  The relation is built *inside* the capture, so the
 /// encoder's `relation.encode` counters and the discovery layer's
-/// `discovery.radix_passes` land in the report's deterministic section —
+/// `discovery.partition_rows` land in the report's deterministic section —
 /// wall-clock readings stay confined to the human-readable text and the
 /// non-deterministic section.
 pub fn exp_e14_columnar_with_metrics(rows: usize) -> (String, od_obs::MetricsReport) {
@@ -753,7 +753,7 @@ fn run_e14(rows: usize, threads: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "## E14  Columnar core at scale (SoA dictionaries + radix partitions)"
+        "## E14  Columnar core at scale (SoA dictionaries + counting partitions)"
     )
     .unwrap();
     let raw = generate_scale_rows(&cfg);
@@ -833,23 +833,27 @@ fn run_e14(rows: usize, threads: usize) -> String {
     });
 
     // 3. Columnar path: codes are a by-product of construction (shared
-    //    dictionary encoding), bucketing goes through the reused radix scratch.
+    //    dictionary encoding), bucketing goes through the counting kernel's
+    //    reused scratch.  Also returns the base rows the kernel bucketed.
     let enc = rel.encoding();
-    let ((codes_parts, radix_passes), columnar) = timed_best_of_2(|| {
+    let ((codes_parts, partition_rows), columnar) = timed_best_of_2(|| {
         let mut scratch = RefineScratch::default();
         let mut parts: Vec<StrippedPartition> = Vec::new();
+        let mut bucketed = 0u64;
         for i in 0..attrs.len() {
             let p = StrippedPartition::by_codes_with(enc.codes(i), &mut scratch);
+            bucketed += rel.len() as u64;
             for j in 0..attrs.len() {
                 if i != j {
                     parts.push(p.refine_by_with(enc.codes(j), &mut scratch));
+                    bucketed += p.covered_rows() as u64;
                 }
             }
             parts.push(p);
         }
-        (parts, scratch.radix_passes())
+        (parts, bucketed)
     });
-    od_obs::add("e14.refine.radix_passes", radix_passes);
+    od_obs::add("e14.refine.partition_rows", partition_rows);
     let speedup = value_time.as_secs_f64() / columnar.as_secs_f64().max(1e-9);
     let speedup_codesort = codesort_time.as_secs_f64() / columnar.as_secs_f64().max(1e-9);
     let parts_match = codes_parts.len() == value_parts.len()
@@ -880,7 +884,7 @@ fn run_e14(rows: usize, threads: usize) -> String {
     .unwrap();
     writeln!(
         out,
-        "  columnar radix codes:                          {columnar:?}  \
+        "  columnar codes, counting kernel:               {columnar:?}  \
          ({speedup:.1}x vs Values, {speedup_codesort:.1}x vs code sorts)"
     )
     .unwrap();
@@ -918,7 +922,7 @@ fn run_e14(rows: usize, threads: usize) -> String {
     write!(out, "{}", d.summary()).unwrap();
     writeln!(
         out,
-        "claim: dictionary codes + radix bucketing turn refinement into linear counting \
+        "claim: dictionary codes + the counting kernel turn refinement into linear counting \
          passes, ≥3x over row-at-a-time comparisons at scale  |  measured: {speedup:.1}x \
          on {} rows",
         rel.len()
@@ -930,17 +934,17 @@ fn run_e14(rows: usize, threads: usize) -> String {
 /// E16 — partition products through the deep lattice: every ordered pair of
 /// per-attribute CSR partitions Π_A · Π_B computed on three product paths in
 /// the same run — per-class hash grouping (the pre-refactor baseline),
-/// comparison sorts of the packed class-id keys, and the packed-u64 radix
+/// comparison sorts of the packed class-id keys, and the sort-free counting
 /// kernel — with bit-identical partitions asserted across all three.  Then
 /// width-2/3/4 discovery throughput on the same scale table, where every
-/// level ≥ 2 partition is a memoized radix product.
+/// level ≥ 2 partition is a memoized counting-kernel product.
 pub fn exp_e16_lattice(rows: usize) -> String {
     run_e16(rows, 1)
 }
 
 /// [`exp_e16_lattice`] under a scoped metrics registry, for
-/// `BENCH_e16.json`.  The product pass counts (`e16.product.radix_passes`,
-/// `discovery.product_radix_passes`) land in the report's deterministic
+/// `BENCH_e16.json`.  The kernel's row counts (`e16.product.partition_rows`,
+/// `discovery.partition_rows`) land in the report's deterministic
 /// section; wall-clock readings stay confined to the human-readable text and
 /// the non-deterministic section.
 pub fn exp_e16_lattice_with_metrics(rows: usize) -> (String, od_obs::MetricsReport) {
@@ -973,7 +977,7 @@ fn run_e16(rows: usize, threads: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "## E16  Partition products through the deep lattice (CSR + radix keys)"
+        "## E16  Partition products through the deep lattice (CSR + counting kernel)"
     )
     .unwrap();
     let rel = scale_relation(&cfg);
@@ -1000,12 +1004,13 @@ fn run_e16(rows: usize, threads: usize) -> String {
     // All ordered-pair products through one path: 0 = per-class hash
     // grouping (what the pre-CSR product paid — one HashMap insert per
     // covered row), 1 = comparison sorts of the packed (class_a, class_b) u64
-    // keys, 2 = the radix kernel the lattice runs (one stable LSD pass set
-    // over the packed keys through the reused scratch).  Also returns the
-    // radix passes spent.
+    // keys, 2 = the counting kernel the lattice runs (two passes over each
+    // base class through the reused scratch).  Also returns the base rows
+    // the products covered.
     let product_set = |path: usize| {
         let mut scratch = RefineScratch::default();
         let mut v: Vec<StrippedPartition> = Vec::new();
+        let mut bucketed = 0u64;
         for (i, p) in parts.iter().enumerate() {
             for (j, c) in codes.iter().enumerate() {
                 if i != j {
@@ -1014,10 +1019,11 @@ fn run_e16(rows: usize, threads: usize) -> String {
                         1 => p.product_comparison(c, &mut scratch),
                         _ => p.product_with(c, &mut scratch),
                     });
+                    bucketed += p.covered_rows() as u64;
                 }
             }
         }
-        (v, scratch.product_radix_passes())
+        (v, bucketed)
     };
     // Each timed pass runs one path's product set E16_ROUNDS times; the
     // passes interleave the three paths, so a slow stretch of the machine
@@ -1034,16 +1040,16 @@ fn run_e16(rows: usize, threads: usize) -> String {
             *best_pass = (*best_pass).min(t.elapsed() / E16_ROUNDS);
         }
     }
-    let [(hash_parts, _), (cmp_parts, _), (radix_parts, product_passes)] = last;
-    let [hash_time, cmp_time, radix_time] = best;
-    od_obs::add("e16.product.radix_passes", product_passes);
-    let speedup_hash = hash_time.as_secs_f64() / radix_time.as_secs_f64().max(1e-9);
-    let speedup_cmp = cmp_time.as_secs_f64() / radix_time.as_secs_f64().max(1e-9);
-    let parts_match = radix_parts == hash_parts && radix_parts == cmp_parts;
+    let [(hash_parts, _), (cmp_parts, _), (kernel_parts, partition_rows)] = last;
+    let [hash_time, cmp_time, kernel_time] = best;
+    od_obs::add("e16.product.partition_rows", partition_rows);
+    let speedup_hash = hash_time.as_secs_f64() / kernel_time.as_secs_f64().max(1e-9);
+    let speedup_cmp = cmp_time.as_secs_f64() / kernel_time.as_secs_f64().max(1e-9);
+    let parts_match = kernel_parts == hash_parts && kernel_parts == cmp_parts;
     writeln!(
         out,
         "products ({} ordered pairs, identical CSR partitions on all three paths):",
-        radix_parts.len()
+        kernel_parts.len()
     )
     .unwrap();
     writeln!(
@@ -1058,9 +1064,9 @@ fn run_e16(rows: usize, threads: usize) -> String {
     .unwrap();
     writeln!(
         out,
-        "  radix-sorted packed keys:                      {radix_time:?}  \
+        "  counting kernel:                               {kernel_time:?}  \
          ({speedup_hash:.1}x vs hash, {speedup_cmp:.1}x vs comparison sorts, \
-         {product_passes} radix passes)"
+         {partition_rows} rows bucketed)"
     )
     .unwrap();
     if !parts_match {
@@ -1073,14 +1079,14 @@ fn run_e16(rows: usize, threads: usize) -> String {
     if rows >= 250_000 && speedup_hash < 3.0 {
         writeln!(
             out,
-            "  UNEXPECTED: radix products below the 3x bar against hash grouping"
+            "  UNEXPECTED: kernel products below the 3x bar against hash grouping"
         )
         .unwrap();
     }
 
     // Deep discovery on the same table: every level ≥ 2 partition is a
-    // memoized radix product of Π_{context \ last} with the last attribute's
-    // class codes.
+    // memoized kernel product of the smallest cached Π_{context − a} with
+    // a's class codes.
     for width in [2usize, 3, 4] {
         let config = LatticeConfig {
             max_context: width,
@@ -1093,17 +1099,17 @@ fn run_e16(rows: usize, threads: usize) -> String {
         writeln!(
             out,
             "width-{width} discovery: {} minimal statements in {disc:?} \
-             ({} rows/sec, {} product radix passes)",
+             ({} rows/sec, {} partition rows)",
             d.minimal_statements().len(),
             rows_per_sec(rel.len(), disc),
-            d.stats.product_radix_passes
+            d.stats.partition_rows
         )
         .unwrap();
     }
     writeln!(
         out,
-        "claim: memoized partition products reduce to one packed-u64 radix pass set per \
-         pair, ≥3x over per-class hash grouping at scale  |  measured: {speedup_hash:.1}x \
+        "claim: memoized partition products reduce to two counting passes over the base \
+         partition, ≥3x over per-class hash grouping at scale  |  measured: {speedup_hash:.1}x \
          on {} rows",
         rel.len()
     )
@@ -1140,7 +1146,7 @@ fn value_bucket(
 }
 
 /// Comparison-sorted bucketing of `(code, row)` pairs into classes of size
-/// ≥ 2 — the pre-refactor rank-code reference E14 times the radix path
+/// ≥ 2 — the pre-refactor rank-code reference E14 times the counting kernel
 /// against.  Same output contract as the partition builders: classes in
 /// first-member order, members ascending.
 fn comparison_bucket(pairs: impl Iterator<Item = (u32, u32)>) -> Vec<Vec<u32>> {

@@ -1,7 +1,7 @@
 //! CI guard for the E14 columnar core: at bench-smoke scale (250k rows in
 //! release) the experiment must clear its own acceptance bars — the three
 //! refinement paths (row-at-a-time Values, comparison-sorted rank codes,
-//! columnar radix codes) produce identical partitions, and the columnar path
+//! the columnar counting kernel) produce identical partitions, and the columnar path
 //! beats the Value-comparison baseline by at least 3x.  `run_e14` stamps any
 //! violation with an `UNEXPECTED` line, so the semantic assertion here is a
 //! single marker check on the report text.
@@ -18,9 +18,9 @@ use std::time::Instant;
 /// `run_e14` turns the 3x speedup claim into a hard `UNEXPECTED` marker.
 const RELEASE_ROWS: usize = 250_000;
 
-/// Rows for the always-on semantic pass: large enough that every partition
-/// class clears the radix thresholds (`RADIX_MIN_PAIRS`, `CLASS_RADIX_MIN`),
-/// small enough for a debug binary.
+/// Rows for the always-on semantic pass: large enough that partition classes
+/// take the kernel's counting branch and clear the validators' radix
+/// threshold (`CLASS_RADIX_MIN`), small enough for a debug binary.
 const SEMANTIC_ROWS: usize = 20_000;
 
 #[test]

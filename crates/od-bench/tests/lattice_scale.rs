@@ -1,7 +1,7 @@
 //! CI guard for the E16 deep-lattice products: the three product paths
-//! (per-class hash grouping, comparison-sorted packed keys, radix-sorted
-//! packed keys) must produce identical CSR partitions, the radix path must
-//! clear its 3x bar against hash grouping at scale, and width-4 discovery
+//! (per-class hash grouping, comparison-sorted packed keys, the counting
+//! kernel) must produce identical CSR partitions, the kernel must clear its
+//! 3x bar against hash grouping at scale, and width-4 discovery
 //! must complete at the full million rows inside a wall-clock budget.
 //! `run_e16` stamps any violation with an `UNEXPECTED` line, so the semantic
 //! assertion here is a single marker check on the report text.
@@ -15,12 +15,12 @@ use od_bench::{exp_e16_lattice, exp_e16_lattice_with_metrics};
 use std::time::Instant;
 
 /// Rows for the release-profile guard — the headline E16 scale, where the
-/// width-4 lattice runs entirely on memoized radix products.
+/// width-4 lattice runs entirely on memoized counting-kernel products.
 const RELEASE_ROWS: usize = 1_000_000;
 
 /// Rows for the always-on semantic pass: large enough that the products
-/// clear the radix threshold (`RADIX_MIN_PAIRS`), small enough for a debug
-/// binary to finish width-4 discovery.
+/// take the kernel's counting branch, small enough for a debug binary to
+/// finish width-4 discovery.
 const SEMANTIC_ROWS: usize = 20_000;
 
 #[test]
@@ -40,7 +40,7 @@ fn e16_clears_speed_bar_at_full_scale() {
     let start = Instant::now();
     let report = exp_e16_lattice(RELEASE_ROWS);
     let elapsed = start.elapsed();
-    // At >= 250k rows run_e16 enforces the 3x radix-vs-hash bar itself; a
+    // At >= 250k rows run_e16 enforces the 3x kernel-vs-hash bar itself; a
     // miss (or a partition mismatch across the three paths) shows up as an
     // UNEXPECTED line.
     assert!(
@@ -87,5 +87,5 @@ fn e16_deterministic_section_is_stable_across_consecutive_runs() {
     assert!(first.deterministic_json().contains("e16.rows"));
     assert!(first
         .deterministic_json()
-        .contains("discovery.product_radix_passes"));
+        .contains("discovery.partition_rows"));
 }

@@ -68,13 +68,13 @@ fn e13_deterministic_section_is_byte_identical_across_runs_and_threads() {
 fn e14_deterministic_section_is_byte_identical_across_runs_and_threads() {
     // The whole E14 pipeline — scale-table generation, columnar encode,
     // three-way refinement, width-2 discovery — under the capture, at a CI
-    // scale that still clears the radix thresholds.
+    // scale whose classes take the kernel's counting branch.
     let (_, reference) = od_bench::exp_e14_columnar_with_metrics_threads(30_000, 1);
     let reference = reference.deterministic_json();
     assert!(reference.contains("relation.encode.radix_passes"));
     assert!(reference.contains("relation.encode.dict_entries"));
-    assert!(reference.contains("discovery.radix_passes"));
-    assert!(reference.contains("e14.refine.radix_passes"));
+    assert!(reference.contains("discovery.partition_rows"));
+    assert!(reference.contains("e14.refine.partition_rows"));
     for threads in [1, 4, 8] {
         for run in 0..2 {
             let (_, report) = od_bench::exp_e14_columnar_with_metrics_threads(30_000, threads);
@@ -90,15 +90,15 @@ fn e14_deterministic_section_is_byte_identical_across_runs_and_threads() {
 #[test]
 fn e16_deterministic_section_is_byte_identical_across_runs_and_threads() {
     // The whole E16 pipeline — scale-table generation, three-way partition
-    // products, width-2/3/4 discovery on memoized radix products — under the
-    // capture.  `discovery.product_radix_passes` is pinned across thread
-    // counts: products are sharded but the pass counts are absorbed on the
-    // orchestrating thread in lattice order.
+    // products, width-2/3/4 discovery on memoized kernel products — under
+    // the capture.  `discovery.partition_rows` is pinned across thread
+    // counts: products are sharded but the row counts are summed on the
+    // orchestrating thread from the planned bases.
     let (_, reference) = od_bench::exp_e16_lattice_with_metrics_threads(30_000, 1);
     let reference = reference.deterministic_json();
     assert!(reference.contains("e16.rows"));
-    assert!(reference.contains("e16.product.radix_passes"));
-    assert!(reference.contains("discovery.product_radix_passes"));
+    assert!(reference.contains("e16.product.partition_rows"));
+    assert!(reference.contains("discovery.partition_rows"));
     for threads in [1, 4, 8] {
         for run in 0..2 {
             let (_, report) = od_bench::exp_e16_lattice_with_metrics_threads(30_000, threads);

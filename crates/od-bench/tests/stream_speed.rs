@@ -2,15 +2,16 @@
 //! table under 1%-sized deltas, delta maintenance must beat full
 //! re-validation by at least 4×.  The floor was 5× until the columnar core
 //! landed: radix-bucketed refinement made the full-revalidation *baseline*
-//! ~20% cheaper (the steady-state margin is now ~5×, measured from ~6.4×
-//! before), so the guard keeps one turn of headroom under CI noise against
-//! the faster denominator.  Each timed section covers 20 deltas (or 20 full
-//! re-validations), and each path keeps its best of 9 interleaved passes (5
-//! in debug builds, which tier-1 runs and which have more margin), so a
-//! single slow stretch of a 2-core host cannot sink the ratio.  Runs in CI
-//! under the release profile alongside
-//! `setbased_speed.rs`; the churn batches, statement set, and baseline are
-//! shared with the E11 bench via [`od_bench::streaming`].
+//! ~20% cheaper (the steady-state margin is now ~4.5–5×, measured from ~6.4×
+//! before; the counting kernel trimmed the baseline again, and checking only
+//! the pairs an insert joins trimmed the monitor back), so the guard keeps
+//! one turn of headroom under CI noise against the faster denominator.  Each
+//! timed section covers 20 deltas (or 20 full re-validations), and each path
+//! keeps its best of 9 interleaved passes (5 in debug builds, which tier-1
+//! runs and which have more margin), so a single slow stretch of a 2-core
+//! host cannot sink the ratio.  Runs in CI under the release profile
+//! alongside `setbased_speed.rs`; the churn batches, statement set, and
+//! baseline are shared with the E11 bench via [`od_bench::streaming`].
 
 use od_bench::streaming::{churn_batch, full_revalidation, monitored_statements};
 use od_bench::timing::best_of;

@@ -34,10 +34,10 @@
 //!    ever generated.
 //! 2. **Context-sharded level expansion** — a level's partitions are
 //!    materialized in one pass sharded *by context*
-//!    ([`PartitionCache::partitions_batch`]): every context's refinement is a
-//!    pure function of its parent partition and one attribute's rank codes,
-//!    so the products are computed on worker threads and are bit-identical on
-//!    every thread count.
+//!    ([`PartitionCache::partitions_batch`]): every context's partition is a
+//!    pure function of its cheapest cached parent partition and one
+//!    attribute's codes, so the products are computed on worker threads and
+//!    are bit-identical on every thread count.
 //! 3. **Batched per-level validation** — all of a level's surviving candidates
 //!    are scanned in one sharded pass
 //!    ([`parallel::validate_statement_batch`]), statements claimed from an
@@ -149,10 +149,14 @@ pub struct LatticeStats {
     pub cache_hits: usize,
     /// Partition-cache memo misses (materializations) across the traversal.
     pub cache_misses: usize,
-    /// Radix counting passes spent sorting packed u64 product keys (level ≥ 2
-    /// partition products).  A per-class property of the work done, so it is
-    /// bit-identical across thread counts.
+    /// Always 0: partition products no longer sort (see
+    /// [`Self::partition_rows`] for the kernel's work).  Kept only because
+    /// the repository benchmark still reads it.
     pub product_radix_passes: u64,
+    /// Rows of every base partition the counting kernel bucketed (level-1
+    /// refinements and level ≥ 2 products) — the partition-construction work,
+    /// bit-identical across thread counts.
+    pub partition_rows: u64,
     /// Partitions evicted by the per-level eviction policy.
     pub cache_evictions: usize,
 }
@@ -662,12 +666,12 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
             break; // no live parents: every deeper level is empty too
         }
         // Materialize this level's partitions in one pass sharded by context
-        // (each is one incremental refinement of a level−1 partition still in
-        // the cache; see `PartitionCache::partitions_batch`).
+        // (each is one incremental product of the smallest level−1 partition
+        // still in the cache; see `PartitionCache::partitions_batch`).
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
         let parts: Vec<Rc<StrippedPartition>> = {
             let _s = obs::span("refine");
-            // Level ≥ 2 batches are entirely packed-u64 products; the nested
+            // Level ≥ 2 batches are entirely class-code products; the nested
             // span separates product cost from level-1 code bucketing.
             let _p = (level >= 2).then(|| obs::span("product"));
             cache.partitions_batch(&contexts, threads)
@@ -918,7 +922,7 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
     }
     result.stats.cache_hits = cache.hits;
     result.stats.cache_misses = cache.misses;
-    result.stats.product_radix_passes = cache.product_radix_passes();
+    result.stats.partition_rows = cache.partition_rows;
     obs::add("discovery.partition_cache.hits", cache.hits as u64);
     obs::add("discovery.partition_cache.misses", cache.misses as u64);
     obs::add(
@@ -926,11 +930,7 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
         result.stats.cache_evictions as u64,
     );
     obs::add("discovery.partition_products", cache.products as u64);
-    obs::add("discovery.radix_passes", cache.radix_passes());
-    obs::add(
-        "discovery.product_radix_passes",
-        cache.product_radix_passes(),
-    );
+    obs::add("discovery.partition_rows", cache.partition_rows);
     obs::gauge_max(
         "discovery.partition_cache.peak",
         result.stats.peak_cached_partitions as u64,

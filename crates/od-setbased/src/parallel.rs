@@ -227,96 +227,125 @@ pub fn validate_statement_batch(
         .collect()
 }
 
-/// One context's partition composition for a sharded level expansion: either a
-/// level-1 bucketing of the full relation on an attribute's raw code column,
-/// or a level ≥ 2 packed-u64 product against the last attribute's class-code
-/// column.  Both are pure functions of their inputs.
+/// One context's partition composition: the counting kernel over a cached
+/// base partition, split either by an attribute's raw code column (level 1)
+/// or by its class-code column (level ≥ 2).  A pure function of its inputs.
 #[derive(Clone, Copy)]
 pub enum RefineJob<'a> {
     /// Bucket `base` (the full-relation partition) on a raw code column.
     Codes {
-        /// Partition of the context minus its last attribute.
+        /// Partition of the context minus the attribute.
         base: &'a StrippedPartition,
-        /// The last attribute's order-preserving rank codes.
+        /// The attribute's order-preserving rank codes.
         codes: &'a [u32],
+        /// `|dom A|`: the codes are dense in `0..domain`.
+        domain: usize,
+        /// Also build the result's [`ClassCodes`] (skipped for keys).
+        class_codes: bool,
     },
-    /// Product of `base` with the last attribute's class-code column.
+    /// Product of `base` with the attribute's class-code column.
     Product {
-        /// Partition of the context minus its last attribute.
+        /// Partition of the context minus the attribute.
         base: &'a StrippedPartition,
-        /// The last attribute's dense class ids ([`ClassCodes`]).
+        /// The attribute's dense class ids ([`ClassCodes`]).
         other: &'a ClassCodes,
     },
 }
 
 impl RefineJob<'_> {
-    fn run(&self, scratch: &mut RefineScratch) -> StrippedPartition {
+    /// A raw code column with `|dom A| = n` gives every row its own code:
+    /// the refinement is a key whatever the base, and costs no pass.
+    fn is_key_column(&self) -> bool {
+        matches!(self, RefineJob::Codes { base, domain, .. } if *domain >= base.n_rows())
+    }
+
+    /// Rows of the base the kernel buckets for this job (0 when the result
+    /// is known without a pass).
+    pub(crate) fn bucketed_rows(&self) -> u64 {
         match self {
-            RefineJob::Codes { base, codes } => base.refine_by_with(codes, scratch),
-            RefineJob::Product { base, other } => base.product_with(other, scratch),
+            _ if self.is_key_column() => 0,
+            RefineJob::Codes { base, .. } | RefineJob::Product { base, .. } => {
+                base.covered_rows() as u64
+            }
+        }
+    }
+
+    /// Run the kernel: the partition, plus its class codes when asked for.
+    pub(crate) fn run(
+        &self,
+        scratch: &mut RefineScratch,
+    ) -> (StrippedPartition, Option<ClassCodes>) {
+        match *self {
+            RefineJob::Codes { base, .. } if self.is_key_column() => (
+                StrippedPartition::from_classes(Vec::new(), base.n_rows()),
+                None,
+            ),
+            RefineJob::Codes {
+                base,
+                codes,
+                domain,
+                class_codes,
+            } => {
+                let part = base.refine_dense(codes, domain, scratch);
+                let cc = (class_codes && !part.is_key()).then(|| part.class_codes());
+                (part, cc)
+            }
+            RefineJob::Product { base, other } => (base.product_with(other, scratch), None),
         }
     }
 }
 
-/// Shard a level's partition products **by context** across threads.
+/// Shard a level's partition compositions **by context** across threads.
 ///
-/// Each job is one context's incremental composition (see [`RefineJob`]);
-/// `None` jobs (contexts already cached) pass through untouched.  Jobs are
-/// claimed from contiguous chunks with one reused [`RefineScratch`] per
-/// worker; every job is a pure function of its inputs, so the output vector is
-/// bit-identical on every thread count.  This is the third sharding axis of
-/// the crate — classes within a scan (`scan_classes`), statements within a
-/// level ([`validate_statement_batch`]), and now contexts within a level
-/// expansion.
-///
-/// The second and third return values are the total radix counting passes the
-/// workers spent on u32 refinement keys and packed u64 product keys — each a
-/// deterministic function of the jobs (a per-class property, independent of
-/// how jobs were sharded), summed here so the orchestrating thread can fold
-/// them into its own metrics; the workers themselves never touch od-obs.
+/// Each job is one context's kernel run (see [`RefineJob`]); `None` jobs
+/// (contexts already cached) pass through untouched.  Workers claim jobs from
+/// a shared atomic cursor — a level's jobs differ in cost by an order of
+/// magnitude, so contiguous chunks would straggle — each reusing one
+/// [`RefineScratch`], and results are placed by job index.  Every job is a
+/// pure function of its inputs, so the output is bit-identical on every
+/// thread count.  This is the third sharding axis of the crate — classes
+/// within a scan (`scan_classes`), statements within a level
+/// ([`validate_statement_batch`]), and contexts within a level expansion.
 pub fn refine_batch(
     jobs: &[Option<RefineJob<'_>>],
     threads: usize,
-) -> (Vec<Option<StrippedPartition>>, u64, u64) {
-    let live = jobs.iter().filter(|j| j.is_some()).count();
-    let threads = threads.clamp(1, live.max(1));
-    if threads <= 1 || live < 2 {
+) -> Vec<Option<(StrippedPartition, Option<ClassCodes>)>> {
+    let live: Vec<(usize, RefineJob<'_>)> = jobs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, job)| job.map(|job| (i, job)))
+        .collect();
+    let threads = threads.clamp(1, live.len().max(1));
+    if threads <= 1 {
         let mut scratch = RefineScratch::default();
-        let out = jobs
+        return jobs
             .iter()
             .map(|job| job.map(|j| j.run(&mut scratch)))
             .collect();
-        return (out, scratch.radix_passes(), scratch.product_radix_passes());
     }
-    let chunk_size = jobs.len().div_ceil(threads);
-    let mut out: Vec<Option<StrippedPartition>> = Vec::with_capacity(jobs.len());
-    let mut passes = 0u64;
-    let mut product_passes = 0u64;
+    let cursor = AtomicUsize::new(0);
+    let mut out: Vec<Option<(StrippedPartition, Option<ClassCodes>)>> =
+        (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for chunk in jobs.chunks(chunk_size) {
+        for _ in 0..threads {
+            let (cursor, live) = (&cursor, &live);
             handles.push(scope.spawn(move || {
                 let mut scratch = RefineScratch::default();
-                let fresh = chunk
-                    .iter()
-                    .map(|job| job.map(|j| j.run(&mut scratch)))
-                    .collect::<Vec<_>>();
-                (
-                    fresh,
-                    scratch.radix_passes(),
-                    scratch.product_radix_passes(),
-                )
+                let mut local = Vec::new();
+                while let Some(&(i, job)) = live.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    local.push((i, job.run(&mut scratch)));
+                }
+                local
             }));
         }
         for handle in handles {
-            let (fresh, worker_passes, worker_product) =
-                handle.join().expect("refinement worker panicked");
-            out.extend(fresh);
-            passes += worker_passes;
-            product_passes += worker_product;
+            for (i, refined) in handle.join().expect("refinement worker panicked") {
+                out[i] = Some(refined);
+            }
         }
     });
-    (out, passes, product_passes)
+    out
 }
 
 /// Run `patch` over every ledger, sharded over up to `threads` threads.

@@ -12,29 +12,29 @@
 //! members ascending — two cache-friendly arrays instead of a `Vec` of `Vec`s,
 //! with class `i` a plain slice `rows[offsets[i]..offsets[i + 1]]`.
 //!
-//! Partitions compose two ways, both through the same run-emission machinery:
+//! Every partition is built by one sort-free **counting kernel**: each class
+//! of a base partition is split by a dense `u32` id per row.  The kernel
+//! counts the class's rows per id in a reused per-id array (remembering the
+//! ids it touched, in first-row order), turns counts ≥ 2 into write cursors,
+//! scatters the rows — which keeps members ascending — and resets only the
+//! touched ids, so a class costs two passes over its own rows whatever the
+//! id domain.  Size-2 classes skip the counters and compare their two ids.
+//! The ids come from one of two columns:
 //!
-//! * **Refinement** builds `Π_{{A}}` (or `Π_X · Π_{{A}}` restricted to `Π_X`'s
-//!   tuples) by bucketing rows on `A`'s order-preserving code column (see
-//!   [`od_core::ColumnarEncoding`]) — a linear pass, *not* an `O(n log n)`
-//!   re-sort.
-//! * **Products** (`Π_X · Π_Y` for non-trivial `Y`) go through dense
-//!   [`ClassCodes`] columns (`row → class id`, singletons =
-//!   [`CLASS_SENTINEL`]): each surviving row contributes one packed
-//!   `(class_of_X, class_of_Y)` `u64` key and one global sort of the
-//!   `(key, row)` pairs emits the product's classes.  No hashing, no
-//!   [`od_core::Value`] comparisons.
+//! * **Refinement** (level 1): the attribute's order-preserving code column
+//!   (see [`od_core::ColumnarEncoding`]), dense in `0..|dom A|`.
+//! * **Products** (level ≥ 2): the dense [`ClassCodes`] of a single-attribute
+//!   partition (`row → class id`); its singletons carry [`CLASS_SENTINEL`],
+//!   which lies outside the id domain, so the kernel drops those rows.
 //!
-//! Both paths sort pairs with the stable LSB [radix sort](od_core::radix) when
-//! large (dense codes over `n` rows need at most `⌈log₂ n / 8⌉` counting
-//! passes) and `sort_unstable` when small — row payloads are distinct and
-//! enter in ascending order, so both produce the identical lexicographic
-//! order and the resulting classes are bit-identical either way.
-//! [`PartitionCache`] memoizes partitions per attribute set so the lattice
-//! visits each set once, hands out code columns as cheap [`ColCodes`] views
-//! into the relation's shared columnar encoding, and keeps per-attribute
-//! [`ClassCodes`] alive across level evictions so deep-lattice products never
-//! rebuild them.
+//! No hashing, no key sorting and no [`od_core::Value`] comparisons.  The
+//! hash and comparison-sort products survive only as oracles
+//! ([`StrippedPartition::product_hash`],
+//! [`StrippedPartition::product_comparison`]).  [`PartitionCache`] memoizes
+//! partitions per attribute set so the lattice visits each set once, hands
+//! out code columns as cheap [`ColCodes`] views into the relation's shared
+//! columnar encoding, and keeps per-attribute [`ClassCodes`] alive across
+//! level evictions so deep-lattice products never rebuild them.
 //!
 //! [`SortedPartition`] orders the classes (plus the stripped-out singletons) of
 //! `Π_set(X)` by the list `X`'s value order, which turns whole-OD validation
@@ -42,19 +42,19 @@
 //! non-decreasing across consecutive groups) — the partition-powered
 //! replacement for the sort-based `od-core` checker.
 
+use crate::parallel::RefineJob;
 use od_core::{radix, AttrId, AttrList, AttrSet, ColumnarEncoding, Relation};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Pair count from which class bucketing switches from `sort_unstable` to the
-/// radix sort (below it, the radix histogram pre-pass dominates).
-const RADIX_MIN_PAIRS: usize = 256;
-
 /// Class id marking a row not covered by any (non-singleton) class in a
-/// [`ClassCodes`] column.  Products drop sentinel rows up front: a row that is
-/// a singleton in either operand is a singleton in the product.
+/// [`ClassCodes`] column.  Products drop sentinel rows: a row that is a
+/// singleton in either operand is a singleton in the product.
 pub const CLASS_SENTINEL: u32 = u32::MAX;
+
+/// Counter-array slot of an id seen once in the current class: no run.
+const NO_RUN: u32 = u32::MAX;
 
 /// One attribute's code column, borrowed from the relation's shared
 /// [`ColumnarEncoding`] — a cheap `Arc` + column-index handle that derefs to
@@ -98,9 +98,9 @@ impl std::fmt::Debug for ColCodes {
 /// (in first-row class order) of the class containing `row`, or
 /// [`CLASS_SENTINEL`] for stripped-out singletons.
 ///
-/// This is the right-hand operand of a partition product: packing a base
-/// partition's class index with `codes[row]` into one `u64` key turns the
-/// product into a single radix sort over the base's surviving rows.
+/// This is the right-hand operand of a partition product: the counting
+/// kernel splits each class of the base partition by these ids, with
+/// [`Self::num_classes`] as the id domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassCodes {
     codes: Vec<u32>,
@@ -119,8 +119,8 @@ impl ClassCodes {
     }
 
     /// Bits needed to hold any valid class id of this column (`0` when at
-    /// most one class exists) — the shift a product packs the other operand's
-    /// class index above.
+    /// most one class exists) — the shift the oracle products pack the other
+    /// operand's class index above.
     pub fn id_bits(&self) -> u32 {
         if self.classes <= 1 {
             0
@@ -135,93 +135,113 @@ impl ClassCodes {
     }
 }
 
-/// Reusable scratch buffers for partition construction, held per
-/// [`PartitionCache`] so the thousands of refinement and product calls of a
-/// lattice traversal stop re-allocating their working set (the only
-/// allocations left are the surviving CSR arrays themselves).  Also
-/// accumulates radix counting passes, surfaced as the
-/// `discovery.radix_passes` (refinement) and `discovery.product_radix_passes`
-/// (u64 product keys) counters.
+/// Reusable buffers of the counting kernel, held per [`PartitionCache`] (and
+/// per batch worker) so the thousands of refinements and products of a
+/// lattice traversal stop re-allocating their working set — the only
+/// allocations left are the surviving CSR arrays themselves.
 #[derive(Debug, Default)]
 pub struct RefineScratch {
-    /// `(code, row)` pairs of the class currently being bucketed.
-    pairs: Vec<(u32, u32)>,
-    /// Radix ping-pong buffer for `pairs`.
-    radix: Vec<(u32, u32)>,
-    /// Packed `(class_a, class_b)` product keys with their rows.
-    pairs64: Vec<(u64, u32)>,
-    /// Radix ping-pong buffer for `pairs64`.
-    radix64: Vec<(u64, u32)>,
+    /// One slot per id: the current class's row count, then its write
+    /// cursor ([`NO_RUN`] for ids seen once).  All zero between classes.
+    slots: Vec<u32>,
+    /// Ids with a non-zero slot, in first-row order within the class.
+    touched: Vec<u32>,
+    /// The current class's id per row, in row order.
+    ids: Vec<u32>,
     /// Emitted run descriptors: (first row, start in `rows_acc`, length).
     runs: Vec<(u32, u32, u32)>,
     /// Row ids of emitted runs, in run order.
     rows_acc: Vec<u32>,
-    /// Radix counting passes performed on u32 refinement keys.
-    passes: u64,
-    /// Radix counting passes performed on u64 product keys.
-    product_passes: u64,
+    /// Rows bucketed through the counting branch (classes of ≥ 3 rows).
+    counted_rows: u64,
 }
 
 impl RefineScratch {
-    /// Total radix counting passes performed on refinement (u32 code) keys
-    /// through this scratch so far.
-    pub fn radix_passes(&self) -> u64 {
-        self.passes
+    /// Rows this scratch has bucketed through the kernel's counting branch
+    /// (every class of three or more rows; size-2 classes compare directly).
+    pub fn counted_rows(&self) -> u64 {
+        self.counted_rows
     }
 
-    /// Total radix counting passes performed on packed u64 product keys
-    /// through this scratch so far.
-    pub fn product_radix_passes(&self) -> u64 {
-        self.product_passes
-    }
-
-    /// Fold another scratch's refinement pass count into this one (used when
-    /// sharded workers refine with their own scratches).
-    pub fn absorb_passes(&mut self, passes: u64) {
-        self.passes += passes;
-    }
-
-    /// Fold another scratch's product pass count into this one.
-    pub fn absorb_product_passes(&mut self, passes: u64) {
-        self.product_passes += passes;
-    }
-
-    /// Sort `pairs` by `(code, row)` and append every run of ≥ 2 equal codes
-    /// as a run descriptor (rows come out ascending because the pairs enter
-    /// in ascending row order: the radix path is stable and the comparison
-    /// path tie-breaks on `row`, so both yield the same lexicographic order).
-    fn emit_u32_runs(&mut self) {
-        if self.pairs.len() >= RADIX_MIN_PAIRS {
-            self.passes += u64::from(radix::sort_pairs(&mut self.pairs, &mut self.radix));
-        } else {
-            self.pairs.sort_unstable();
+    /// Grow the per-id slots to cover ids `0..domain`.
+    fn fit(&mut self, domain: usize) {
+        if self.slots.len() < domain {
+            self.slots.resize(domain, 0);
         }
-        let pairs = &self.pairs;
-        let mut start = 0usize;
-        for i in 1..=pairs.len() {
-            if i == pairs.len() || pairs[i].0 != pairs[start].0 {
-                if i - start >= 2 {
-                    let at = self.rows_acc.len() as u32;
-                    self.rows_acc
-                        .extend(pairs[start..i].iter().map(|&(_, row)| row));
-                    self.runs.push((pairs[start].1, at, (i - start) as u32));
+    }
+
+    /// The kernel on one class, whose rows arrive ascending: split it by
+    /// `ids`, appending each group of ≥ 2 rows that share an id below
+    /// `domain` as a run; rows whose id is `domain` or more (such as
+    /// [`CLASS_SENTINEL`]) are dropped.  The slots must cover `0..domain`.
+    fn bucket_class<I>(&mut self, class: I, ids: &[u32], domain: usize)
+    where
+        I: ExactSizeIterator<Item = u32> + Clone,
+    {
+        if class.len() == 2 {
+            let mut pair = class;
+            let r0 = pair.next().expect("a size-2 class has a first row");
+            let r1 = pair.next().expect("a size-2 class has a second row");
+            let id = ids[r0 as usize];
+            if (id as usize) < domain && id == ids[r1 as usize] {
+                let at = self.rows_acc.len() as u32;
+                self.rows_acc.extend([r0, r1]);
+                self.runs.push((r0, at, 2));
+            }
+            return;
+        }
+        self.counted_rows += class.len() as u64;
+        // Count rows per id, remembering each id the first time it is seen.
+        self.ids.clear();
+        for row in class.clone() {
+            let id = ids[row as usize];
+            self.ids.push(id);
+            if (id as usize) < domain {
+                let slot = &mut self.slots[id as usize];
+                if *slot == 0 {
+                    self.touched.push(id);
                 }
-                start = i;
+                *slot += 1;
             }
         }
+        // Counts ≥ 2 become write cursors, laid out in first-row order.
+        let first_run = self.runs.len();
+        let mut at = self.rows_acc.len() as u32;
+        for &id in &self.touched {
+            let slot = &mut self.slots[id as usize];
+            let count = *slot;
+            if count >= 2 {
+                self.runs.push((0, at, count));
+                *slot = at;
+                at += count;
+            } else {
+                *slot = NO_RUN;
+            }
+        }
+        if self.runs.len() > first_run {
+            self.rows_acc.resize(at as usize, 0);
+            for (row, &id) in class.zip(&self.ids) {
+                if (id as usize) < domain {
+                    let slot = &mut self.slots[id as usize];
+                    if *slot != NO_RUN {
+                        self.rows_acc[*slot as usize] = row;
+                        *slot += 1;
+                    }
+                }
+            }
+            for run in &mut self.runs[first_run..] {
+                run.0 = self.rows_acc[run.1 as usize];
+            }
+        }
+        for &id in &self.touched {
+            self.slots[id as usize] = 0;
+        }
+        self.touched.clear();
     }
 
-    /// [`Self::emit_u32_runs`] over the packed u64 product keys.  `radix`
-    /// selects the production radix path; `false` forces the comparison sort
-    /// (the in-run baseline E16 compares against).
-    fn emit_u64_runs(&mut self, radix_path: bool) {
-        if radix_path && self.pairs64.len() >= RADIX_MIN_PAIRS {
-            self.product_passes +=
-                u64::from(radix::sort_pairs(&mut self.pairs64, &mut self.radix64));
-        } else {
-            self.pairs64.sort_unstable();
-        }
-        let pairs = &self.pairs64;
+    /// Append every run of ≥ 2 equal keys of the sorted `pairs` (the
+    /// comparison-sort oracle's emission step).
+    fn emit_sorted_runs<K: Eq>(&mut self, pairs: &[(K, u32)]) {
         let mut start = 0usize;
         for i in 1..=pairs.len() {
             if i == pairs.len() || pairs[i].0 != pairs[start].0 {
@@ -307,41 +327,49 @@ impl StrippedPartition {
         }
     }
 
-    /// Build `Π_{{A}}` from an attribute's code column.
+    /// Build `Π_{{A}}` from an attribute's code column (dense rank codes, all
+    /// below `codes.len()`).
     pub fn by_codes(codes: &[u32]) -> Self {
         Self::by_codes_with(codes, &mut RefineScratch::default())
     }
 
-    /// [`Self::by_codes`] with caller-provided scratch buffers.
+    /// [`Self::by_codes`] with caller-provided scratch buffers: one kernel
+    /// pass over the whole relation as a single class.
     pub fn by_codes_with(codes: &[u32], scratch: &mut RefineScratch) -> Self {
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(codes.iter().enumerate().map(|(row, &c)| (c, row as u32)));
-        scratch.emit_u32_runs();
-        scratch.finish(codes.len())
+        let n = codes.len();
+        scratch.fit(n);
+        if n >= 2 {
+            scratch.bucket_class(0..n as u32, codes, n);
+        }
+        scratch.finish(n)
     }
 
     /// Refine by one more attribute's code column: `Π_X · Π_{{A}}` restricted
-    /// to the tuples `Π_X` still tracks.  Linear in [`Self::covered_rows`] up
-    /// to the per-class sort on `(code, row)` pairs.
+    /// to the tuples `Π_X` still tracks.  Linear in [`Self::covered_rows`].
+    /// Codes must be dense ranks below the relation's row count; a larger
+    /// value (such as [`CLASS_SENTINEL`]) marks a row that stays a singleton.
     pub fn refine_by(&self, codes: &[u32]) -> Self {
         self.refine_by_with(codes, &mut RefineScratch::default())
     }
 
-    /// [`Self::refine_by`] with caller-provided scratch buffers: each class is
-    /// bucketed by sorting its `(code, row)` pairs in a reused buffer —
-    /// radix passes for large classes, `sort_unstable` for small ones — and
-    /// emitting the runs of equal codes, instead of hashing into freshly
-    /// allocated per-bucket vectors.  Output is identical on either sort path
-    /// (classes in first-member order, members in ascending row order).
+    /// [`Self::refine_by`] with caller-provided scratch buffers: each class
+    /// goes through the counting kernel (see the module docs), so classes
+    /// come out in first-member order with members ascending.
     pub fn refine_by_with(&self, codes: &[u32], scratch: &mut RefineScratch) -> Self {
+        self.refine_dense(codes, self.n_rows, scratch)
+    }
+
+    /// Refine by a code column dense in `0..domain`; rows whose code is
+    /// `domain` or more are dropped.
+    pub(crate) fn refine_dense(
+        &self,
+        codes: &[u32],
+        domain: usize,
+        scratch: &mut RefineScratch,
+    ) -> Self {
+        scratch.fit(domain);
         for class in self.classes() {
-            scratch.pairs.clear();
-            scratch
-                .pairs
-                .extend(class.iter().map(|&row| (codes[row as usize], row)));
-            scratch.emit_u32_runs();
+            scratch.bucket_class(class.iter().copied(), codes, domain);
         }
         scratch.finish(self.n_rows)
     }
@@ -361,25 +389,34 @@ impl StrippedPartition {
         }
     }
 
-    /// The partition product `self · other` over packed `(class_a, class_b)`
-    /// u64 keys: one pass over `self`'s surviving rows collects
-    /// `(key, row)` pairs (rows that are singletons in `other` are dropped up
-    /// front — they are singletons in the product too), one global stable
-    /// radix sort groups them, and runs of ≥ 2 become the product's classes.
-    /// No hashing, no `Value` comparisons; radix passes land in
-    /// `scratch.product_radix_passes()`.
+    /// The partition product `self · other`: the counting kernel splits
+    /// each class of `self` by `other`'s class ids (domain
+    /// [`ClassCodes::num_classes`]), dropping rows that are singletons in
+    /// `other` — they are singletons in the product too.  No hashing and no
+    /// key sort; cost is linear in [`Self::covered_rows`].
     pub fn product_with(&self, other: &ClassCodes, scratch: &mut RefineScratch) -> Self {
-        self.product_keys(other, scratch);
-        scratch.emit_u64_runs(true);
-        scratch.finish(self.n_rows)
+        self.refine_dense(other.codes(), other.num_classes() as usize, scratch)
     }
 
-    /// [`Self::product_with`] with the comparison sort forced — the
-    /// sorted-pairs baseline E16 measures the radix kernel against.  Output
-    /// is bit-identical to the radix path.
+    /// Comparison-sort product oracle: one `sort_unstable` of packed
+    /// `(class_a, class_b)` u64 keys with their rows, runs of equal keys
+    /// become classes.  Output is bit-identical to [`Self::product_with`];
+    /// kept as the baseline E16 times the kernel against.
     pub fn product_comparison(&self, other: &ClassCodes, scratch: &mut RefineScratch) -> Self {
-        self.product_keys(other, scratch);
-        scratch.emit_u64_runs(false);
+        let shift = other.id_bits();
+        let ocodes = other.codes();
+        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(self.covered_rows());
+        for (ci, class) in self.classes().enumerate() {
+            let hi = (ci as u64) << shift;
+            for &row in class {
+                let oc = ocodes[row as usize];
+                if oc != CLASS_SENTINEL {
+                    pairs.push((hi | u64::from(oc), row));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        scratch.emit_sorted_runs(&pairs);
         scratch.finish(self.n_rows)
     }
 
@@ -402,24 +439,6 @@ impl StrippedPartition {
         }
         let classes: Vec<Vec<u32>> = buckets.into_values().filter(|c| c.len() >= 2).collect();
         Self::from_classes(classes, self.n_rows)
-    }
-
-    /// Collect the packed product keys of `self · other` into
-    /// `scratch.pairs64`.
-    fn product_keys(&self, other: &ClassCodes, scratch: &mut RefineScratch) {
-        let shift = other.id_bits();
-        let ocodes = other.codes();
-        scratch.pairs64.clear();
-        for (ci, class) in self.classes().enumerate() {
-            let hi = (ci as u64) << shift;
-            for &row in class {
-                let oc = ocodes[row as usize];
-                if oc == CLASS_SENTINEL {
-                    continue;
-                }
-                scratch.pairs64.push((hi | u64::from(oc), row));
-            }
-        }
     }
 
     /// The equivalence classes (each of size ≥ 2), as CSR slices in first-row
@@ -478,12 +497,16 @@ impl StrippedPartition {
 /// per-attribute code columns all validators work on (served as [`ColCodes`]
 /// views into the relation's eagerly built [`ColumnarEncoding`]).
 ///
-/// `Π_X` is computed once per distinct `X`, by composing the partition of a
-/// maximal cached subset (in practice `X` minus its last attribute, which the
-/// level-wise lattice has always already visited) — the *incremental partition
-/// product* of FASTOD.  Level-1 partitions bucket directly on the attribute's
-/// raw code column; deeper levels run the packed-u64 product against the last
-/// attribute's [`ClassCodes`], which are memoized per attribute and survive
+/// `Π_X` is computed once per distinct `X` — the *incremental partition
+/// product* of FASTOD.  Level-1 partitions run the counting kernel over the
+/// whole relation on the attribute's raw code column (a column with
+/// `|dom A| = n` is a key and costs no pass).  A level ≥ 2 partition picks
+/// the attribute `a ∈ X` whose cached `Π_{X−a}` covers the fewest rows (ties
+/// keep the highest `a`) and multiplies that base by `a`'s [`ClassCodes`],
+/// so the kernel's cost — linear in the base's covered rows — is the least
+/// the cache can offer.  Under level-wise traversal every `Π_{X−a}` is
+/// cached; outside it, `X` minus its last attribute is built first,
+/// recursively.  Class codes are memoized per attribute and survive
 /// [`Self::evict_sets_of_size`] — eviction drops whole-partition CSR arrays,
 /// not the dense columns products keep re-reading.
 pub struct PartitionCache<'r> {
@@ -504,6 +527,44 @@ pub struct PartitionCache<'r> {
     /// Memo misses: partition requests that had to materialize (each recursive
     /// subset build counts as its own miss).
     pub misses: usize,
+    /// Rows of every base partition the counting kernel bucketed — the
+    /// kernel's work, linear in its running time and independent of how the
+    /// work was sharded (the `discovery.partition_rows` counter).
+    pub partition_rows: u64,
+}
+
+/// How one partition is composed: a cached base `Π_{X−attr}` and `attr`'s
+/// operand column.  Holds the `Rc`s so batch workers can borrow plain `&`s.
+struct Plan {
+    base: Rc<StrippedPartition>,
+    attr: AttrId,
+    operand: Operand,
+}
+
+enum Operand {
+    /// Level 1: the attribute's raw code column.
+    Codes(ColCodes),
+    /// Level ≥ 2: the attribute's class-code column.
+    Product(Rc<ClassCodes>),
+}
+
+impl Plan {
+    /// The kernel job; `class_codes` asks a level-1 job for the result's
+    /// class codes too.
+    fn job(&self, class_codes: bool) -> RefineJob<'_> {
+        match &self.operand {
+            Operand::Codes(codes) => RefineJob::Codes {
+                base: &self.base,
+                codes,
+                domain: codes.domain(),
+                class_codes,
+            },
+            Operand::Product(other) => RefineJob::Product {
+                base: &self.base,
+                other,
+            },
+        }
+    }
 }
 
 impl<'r> PartitionCache<'r> {
@@ -519,6 +580,7 @@ impl<'r> PartitionCache<'r> {
             products: 0,
             hits: 0,
             misses: 0,
+            partition_rows: 0,
         }
     }
 
@@ -531,17 +593,6 @@ impl<'r> PartitionCache<'r> {
     /// shared encoding (historically this memoized per-attribute sorts).
     pub fn codes(&self, attr: AttrId) -> ColCodes {
         ColCodes::new(self.enc.clone(), attr.index())
-    }
-
-    /// Radix counting passes spent bucketing u32 refinement keys so far
-    /// (serial and sharded refinements both accumulate here).
-    pub fn radix_passes(&self) -> u64 {
-        self.scratch.radix_passes()
-    }
-
-    /// Radix counting passes spent sorting packed u64 product keys so far.
-    pub fn product_radix_passes(&self) -> u64 {
-        self.scratch.product_radix_passes()
     }
 
     /// Heap bytes held by the cached CSR partitions plus the per-attribute
@@ -569,17 +620,43 @@ impl<'r> PartitionCache<'r> {
         if let Some(cc) = self.attr_codes.get(&attr) {
             return cc.clone();
         }
-        let single: AttrSet = std::iter::once(attr).collect();
+        let single = AttrSet::singleton(attr);
         let cc = match self.partitions.get(&single) {
             Some(p) => p.class_codes(),
             None => {
                 let codes = self.codes(attr);
+                self.partition_rows += codes.len() as u64;
                 StrippedPartition::by_codes_with(&codes, &mut self.scratch).class_codes()
             }
         };
         let rc = Rc::new(cc);
         self.attr_codes.insert(attr, rc.clone());
         rc
+    }
+
+    /// The cheapest way to compose `Π_set` from the cache: the attribute `a`
+    /// whose cached `Π_{set−a}` covers the fewest rows, ties keeping the
+    /// highest `a`.  `None` when no such subset is cached (or `set` is empty).
+    fn plan(&mut self, set: &AttrSet) -> Option<Plan> {
+        let mut best: Option<(AttrId, &Rc<StrippedPartition>)> = None;
+        for a in set.iter() {
+            if let Some(p) = self.partitions.get(&set.without(a)) {
+                if best.is_none_or(|(_, b)| p.covered_rows() <= b.covered_rows()) {
+                    best = Some((a, p));
+                }
+            }
+        }
+        let (attr, base) = best.map(|(a, p)| (a, p.clone()))?;
+        let operand = if set.len() == 1 {
+            Operand::Codes(self.codes(attr))
+        } else {
+            Operand::Product(self.attr_class_codes(attr))
+        };
+        Some(Plan {
+            base,
+            attr,
+            operand,
+        })
     }
 
     /// The stripped partition `Π_X` (memoized).
@@ -592,22 +669,24 @@ impl<'r> PartitionCache<'r> {
         let part = match set.last() {
             None => StrippedPartition::full(self.rel.len()),
             Some(last) => {
-                // Compose from the partition of X minus its last attribute —
-                // under level-wise traversal that subset is already cached,
-                // making every product incremental.
-                let base = set.without(last);
-                let base_part = self.partition(&base);
+                let plan = match self.plan(set) {
+                    Some(plan) => {
+                        // The base is answered from the memo.
+                        self.hits += 1;
+                        plan
+                    }
+                    None => {
+                        // Outside level-wise traversal: build X minus its
+                        // last attribute first (recursively, counting its
+                        // own misses).
+                        self.partition(&set.without(last));
+                        self.plan(set).expect("the base was just cached")
+                    }
+                };
+                let job = plan.job(false);
                 self.products += 1;
-                if base.is_empty() {
-                    // Level 1: bucket the full relation on the raw codes.
-                    let codes = self.codes(last);
-                    base_part.refine_by_with(&codes, &mut self.scratch)
-                } else {
-                    // Level ≥ 2: packed-u64 product against the attribute's
-                    // class-code column.
-                    let other = self.attr_class_codes(last);
-                    base_part.product_with(&other, &mut self.scratch)
-                }
+                self.partition_rows += job.bucketed_rows();
+                job.run(&mut self.scratch).0
             }
         };
         let rc = Rc::new(part);
@@ -616,76 +695,62 @@ impl<'r> PartitionCache<'r> {
     }
 
     /// Materialize a whole level's partitions in one pass, sharding the
-    /// product work **by context** across up to `threads` threads.
+    /// kernel work **by context** across up to `threads` threads.
     ///
-    /// Each set's base (the set minus its last attribute) is resolved serially
-    /// — under level-wise traversal it is already cached, and the `Rc`-handing
-    /// cache cannot be touched from workers — then the per-context products
-    /// run sharded ([`crate::parallel::refine_batch`]): a product is a pure
-    /// function of the base partition and the last attribute's code (or
-    /// class-code) column, so the results are bit-identical on every thread
-    /// count (and so are the total radix pass counts the workers hand back).
-    /// Sets whose base is not cached (possible only outside the lattice's
-    /// level discipline) fall back to the serial recursive path.
+    /// Each set is planned serially — the cheapest cached base, as in
+    /// [`Self::partition`]; the `Rc`-handing cache cannot be touched from
+    /// workers — then the kernel jobs run sharded
+    /// ([`crate::parallel::refine_batch`]).  A job is a pure function of its
+    /// base and operand column, so the results are bit-identical on every
+    /// thread count.  Level-1 jobs also build their attribute's
+    /// [`ClassCodes`] (unless memoized, or the partition is a key), so the
+    /// next level's products start without a serial class-code pass.  Sets
+    /// with no cached subset (possible only outside the lattice's level
+    /// discipline) fall back to the serial recursive path.
     pub fn partitions_batch(
         &mut self,
         sets: &[AttrSet],
         threads: usize,
     ) -> Vec<Rc<StrippedPartition>> {
-        use crate::parallel::RefineJob;
-        // Keep the base `Rc`s alive on this thread; workers see plain `&`s.
-        enum Aux {
-            Codes(ColCodes),
-            Product(Rc<ClassCodes>),
-        }
-        let mut bases: Vec<Option<(Rc<StrippedPartition>, Aux)>> = Vec::with_capacity(sets.len());
+        let mut plans: Vec<Option<Plan>> = Vec::with_capacity(sets.len());
         for set in sets {
             if self.partitions.contains_key(set) {
                 self.hits += 1;
-                bases.push(None);
+                plans.push(None);
                 continue;
             }
-            let base = match set.last() {
-                Some(last) if self.partitions.contains_key(&set.without(last)) => {
-                    let base_set = set.without(last);
-                    let base_part = self.partitions[&base_set].clone();
-                    self.misses += 1;
-                    let aux = if base_set.is_empty() {
-                        Aux::Codes(self.codes(last))
-                    } else {
-                        Aux::Product(self.attr_class_codes(last))
-                    };
-                    Some((base_part, aux))
-                }
-                _ => None, // cached already handled; uncached base → serial fallback
-            };
-            if base.is_none() {
+            let plan = self.plan(set);
+            if plan.is_some() {
+                self.misses += 1;
+            } else {
                 // Serial fallback (also materializes the base for siblings;
                 // counts its own misses).
                 self.partition(set);
             }
-            bases.push(base);
+            plans.push(plan);
         }
-        let jobs: Vec<Option<RefineJob<'_>>> = bases
+        let jobs: Vec<Option<RefineJob<'_>>> = plans
             .iter()
-            .map(|o| {
-                o.as_ref().map(|(b, aux)| match aux {
-                    Aux::Codes(c) => RefineJob::Codes {
-                        base: b,
-                        codes: &c[..],
-                    },
-                    Aux::Product(cc) => RefineJob::Product { base: b, other: cc },
-                })
+            .map(|plan| {
+                plan.as_ref()
+                    .map(|p| p.job(!self.attr_codes.contains_key(&p.attr)))
             })
             .collect();
-        let (fresh, refine_passes, product_passes) = crate::parallel::refine_batch(&jobs, threads);
-        self.scratch.absorb_passes(refine_passes);
-        self.scratch.absorb_product_passes(product_passes);
-        for (set, part) in sets.iter().zip(fresh) {
-            if let Some(part) = part {
-                self.products += 1;
-                self.partitions.insert(*set, Rc::new(part));
+        self.partition_rows += jobs
+            .iter()
+            .flatten()
+            .map(RefineJob::bucketed_rows)
+            .sum::<u64>();
+        let fresh = crate::parallel::refine_batch(&jobs, threads);
+        for ((set, plan), out) in sets.iter().zip(&plans).zip(fresh) {
+            let (Some(plan), Some((part, class_codes))) = (plan, out) else {
+                continue;
+            };
+            self.products += 1;
+            if let Some(cc) = class_codes {
+                self.attr_codes.insert(plan.attr, Rc::new(cc));
             }
+            self.partitions.insert(*set, Rc::new(part));
         }
         sets.iter()
             .map(|set| self.partitions[set].clone())
@@ -827,19 +892,19 @@ mod tests {
 
     #[test]
     fn radix_and_comparison_bucketing_agree() {
-        // Enough rows to clear RADIX_MIN_PAIRS, few enough distinct values
-        // that classes stay large: the full-relation bucketing takes the
-        // radix path while tiny per-class refinements take sort_unstable,
-        // and both must produce identical partitions.
+        // Few distinct values over many rows, so classes stay large: the
+        // full-relation bucketing takes the kernel's counting branch, and it
+        // must agree with a comparison sort of the same (code, row) pairs.
         let rows: Vec<Vec<i64>> = (0..600i64).map(|i| vec![i % 7, i % 3]).collect();
         let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let rel = rel_from(&rows);
         let codes = rel.rank_column(AttrId(0));
         let mut scratch = RefineScratch::default();
-        let via_radix = StrippedPartition::by_codes_with(&codes, &mut scratch);
-        assert!(
-            scratch.radix_passes() > 0,
-            "600 pairs must take the radix path"
+        let via_kernel = StrippedPartition::by_codes_with(&codes, &mut scratch);
+        assert_eq!(
+            scratch.counted_rows(),
+            600,
+            "the whole relation is one counted class"
         );
         // Reference: comparison-sorted bucketing of the same pairs.
         let mut pairs: Vec<(u32, u32)> = codes
@@ -859,11 +924,11 @@ mod tests {
             }
         }
         expected.sort_by_key(|c| c[0]);
-        assert_eq!(via_radix.class_vecs(), expected);
+        assert_eq!(via_kernel.class_vecs(), expected);
         // And refining by the second column matches the cache-built product.
         let mut cache = PartitionCache::new(&rel);
         let pab = cache.partition(&set(&[0, 1]));
-        let manual = via_radix.refine_by(&rel.rank_column(AttrId(1)));
+        let manual = via_kernel.refine_by(&rel.rank_column(AttrId(1)));
         assert_eq!(*pab, manual);
     }
 
@@ -906,23 +971,23 @@ mod tests {
         let mut scratch = RefineScratch::default();
         for (base, other) in [(&pa, &pb), (&pb, &pa), (&pa, &pc), (&pc, &pb)] {
             let cc = other.class_codes();
-            let radix = base.product_with(&cc, &mut scratch);
+            let kernel = base.product_with(&cc, &mut scratch);
             let comparison = base.product_comparison(&cc, &mut scratch);
             let hash = base.product_hash(&cc);
             // Refinement by the other partition's class ids equals the product
             // when `other` has no sentinel rows (true here: every column is
             // duplicate-heavy).
             let refined = base.refine_by(cc.codes());
-            assert_eq!(radix, comparison);
-            assert_eq!(radix, hash);
+            assert_eq!(kernel, comparison);
+            assert_eq!(kernel, hash);
             // All columns here are duplicate-heavy (no singletons), so the
             // class-code column is total and plain refinement agrees too.
             assert!(cc.codes().iter().all(|&c| c != CLASS_SENTINEL));
-            assert_eq!(radix, refined);
+            assert_eq!(kernel, refined);
         }
         assert!(
-            scratch.product_radix_passes() > 0,
-            "700-row products must take the radix path"
+            scratch.counted_rows() > 0,
+            "700-row products must take the counting branch"
         );
     }
 
@@ -959,9 +1024,56 @@ mod tests {
         }
         assert_eq!(*deep, oracle);
         assert!(
-            cache.product_radix_passes() > 0 || cache.radix_passes() > 0,
-            "large partitions must exercise a radix path"
+            cache.scratch.counted_rows() > 0 && cache.partition_rows > 0,
+            "large partitions must take the counting branch"
         );
+    }
+
+    #[test]
+    fn cache_composes_from_the_smallest_cached_base() {
+        // c0 is near-unique (Π_{0} covers rows 0 and 1), c1 and c2 are coarse
+        // (both cover all six rows), c3 is a key (|dom| = n).
+        let rel = rel_from(&[
+            &[0, 0, 0, 0],
+            &[0, 0, 1, 1],
+            &[1, 1, 0, 2],
+            &[2, 1, 1, 3],
+            &[3, 0, 0, 4],
+            &[4, 1, 1, 5],
+        ]);
+        let chain = |attrs: &[u32]| {
+            let mut p = StrippedPartition::full(rel.len());
+            for &a in attrs {
+                p = p.refine_by(&rel.rank_column(AttrId(a)));
+            }
+            p
+        };
+        let mut cache = PartitionCache::new(&rel);
+        cache.partition(&AttrSet::new());
+        // A level-1 batch buckets every non-key column over all six rows and
+        // builds those columns' class codes; the key column costs no pass.
+        let level1: Vec<AttrSet> = (0..4).map(|a| set(&[a])).collect();
+        let parts = cache.partitions_batch(&level1, 2);
+        assert!(parts[3].is_key());
+        assert_eq!(cache.partition_rows, 3 * 6);
+        for a in 0..4 {
+            assert_eq!(cache.attr_codes.contains_key(&AttrId(a)), a != 3);
+        }
+        // {0, 1}: Π_{0} (2 rows) beats Π_{1} (6 rows), so c1's codes split it.
+        let mut serial = PartitionCache::new(&rel);
+        for a in 0..3 {
+            serial.partition(&set(&[a]));
+        }
+        let before = serial.partition_rows;
+        assert_eq!(*serial.partition(&set(&[0, 1])), chain(&[0, 1]));
+        assert_eq!(serial.partition_rows - before, 2);
+        assert!(serial.attr_codes.contains_key(&AttrId(1)));
+        assert!(!serial.attr_codes.contains_key(&AttrId(0)));
+        // {1, 2}: a tie keeps the highest attribute, so c2's codes split Π_{1}.
+        assert_eq!(*serial.partition(&set(&[1, 2])), chain(&[1, 2]));
+        assert_eq!(serial.partition_rows - before, 2 + 6);
+        assert!(serial.attr_codes.contains_key(&AttrId(2)));
+        assert!(!serial.attr_codes.contains_key(&AttrId(0)));
     }
 
     #[test]

@@ -627,11 +627,17 @@ impl ClassState {
                 events.sort_unstable();
                 let mut merged =
                     Vec::with_capacity(sorted.len() + delta.added.len() - delta.removed.len());
+                // Where the inserts land, tracked while the class is clean.
+                let was_clean = *removal == 0;
+                let mut inserted_at = Vec::new();
                 let mut src = 0usize;
                 for (a, b, row, is_insert) in events {
                     let pos = src + sorted[src..].partition_point(|&t| t < (a, b, row));
                     merged.extend_from_slice(&sorted[src..pos]);
                     if is_insert {
+                        if was_clean {
+                            inserted_at.push(merged.len());
+                        }
                         merged.push((a, b, row));
                         src = pos;
                     } else {
@@ -642,7 +648,19 @@ impl ClassState {
                 merged.extend_from_slice(&sorted[src..]);
                 *sorted = merged;
                 let splices = delta.added.len() + delta.removed.len();
-                let (new_removal, lis_ran) = ClassState::compat_removal(sorted);
+                // A clean class has a non-decreasing B sequence.  Deletes keep
+                // it so; only the pairs an insert joins can break it, so
+                // checking those replaces the full scan.
+                let b_ordered = |i: usize| i == 0 || sorted[i - 1].1 <= sorted[i].1;
+                let (new_removal, lis_ran) = if was_clean
+                    && inserted_at
+                        .iter()
+                        .all(|&i| b_ordered(i) && (i + 1 == sorted.len() || b_ordered(i + 1)))
+                {
+                    (0, false)
+                } else {
+                    ClassState::compat_removal(sorted)
+                };
                 *removal = new_removal;
                 PatchEffort {
                     rows: splices,
@@ -1159,7 +1177,11 @@ impl StreamMonitor {
                     .push(id);
             }
             for (key, delta) in &mut changes {
-                let class = partition.classes.entry(key.clone()).or_default();
+                // Clone the key only for a class the batch creates.
+                let class = match partition.classes.get_mut(key) {
+                    Some(class) => class,
+                    None => partition.classes.entry(key.clone()).or_default(),
+                };
                 delta.was_len = class.len();
                 if !delta.removed.is_empty() {
                     class.retain(|id| !deleted_mark[*id as usize]);

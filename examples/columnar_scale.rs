@@ -39,18 +39,18 @@ fn main() {
         rel.approx_heap_bytes() / 1024
     );
 
-    // Partition refinement runs on the code columns through a reused radix
-    // scratch buffer — no Value comparisons on the hot path.
+    // Partition refinement runs on the code columns through the counting
+    // kernel's reused scratch — no sorting and no Value comparisons.
     let mut scratch = RefineScratch::default();
     let start = Instant::now();
     let by_day = StrippedPartition::by_codes_with(enc.codes(1), &mut scratch);
     let refined = by_day.refine_by_with(enc.codes(3), &mut scratch);
     println!(
         "\nΠ_{{ts_day}} has {} classes; refined by zipf_band: {} classes \
-         ({} radix passes, {:?})",
+         ({} rows counted, {:?})",
         by_day.num_classes(),
         refined.num_classes(),
-        scratch.radix_passes(),
+        scratch.counted_rows(),
         start.elapsed()
     );
 
