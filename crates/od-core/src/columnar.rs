@@ -13,20 +13,30 @@
 //! so when a column contains NULLs they receive the dedicated code `0` and
 //! `dict[0] == Value::Null`.
 //!
-//! The encoder never compares `Value`s on its hot path when it can avoid it:
-//! a column whose non-null values are all integers, all dates, or all
-//! booleans is mapped to order-preserving `u64` keys and sorted with the LSB
-//! [radix sort](crate::radix) (stable, so the resulting code assignment is
-//! bit-identical to the comparison sort it replaces); heterogeneous, string,
-//! and float columns fall back to a comparison sort on the `Value` order.
-//! Either way the resulting codes are exactly what
-//! [`Relation::rank_column`](crate::Relation::rank_column) historically
-//! computed per call — discovery layers now share one eager encoding instead
-//! of re-sorting per attribute.
+//! [`ColumnarEncoding::build`] reads the row store once, row by row, and
+//! classifies every column in that one pass.  A column whose non-null values
+//! are all integers, all dates, or all booleans is a *key column*: the pass
+//! keeps each of its cells as an `i64` key and tracks the column's minimum
+//! and maximum, and the codes and dictionary are then made from the keys
+//! alone — the row store is not read again.  A key column is coded by its
+//! offsets `key − min`:
+//!
+//! * when its range `max − min` is below 64 values per row, by a bitmap
+//!   over the offsets: a key's code is the number of distinct offsets below
+//!   it, read off per-word counts, so no sort runs;
+//! * otherwise by sorting `(offset, row)` pairs with the LSB
+//!   [radix sort](crate::radix) — `u32` offsets when the range fits 32 bits,
+//!   `u64` offsets beyond — and numbering the runs of equal offsets.
+//!
+//! Columns holding strings, floats, or more than one type fall back to one
+//! comparison sort on the [`Value`] order; all-NULL columns need no sort.
+//! Every path yields exactly the codes
+//! [`Relation::rank_column_by_sort`](crate::Relation::rank_column_by_sort)
+//! computes (the radix sort is stable and rows enter it in ascending order).
 
 use crate::attr::Schema;
 use crate::obs;
-use crate::radix;
+use crate::radix::{self, RadixKey};
 use crate::relation::Tuple;
 use crate::value::Value;
 
@@ -72,29 +82,44 @@ pub struct ColumnarEncoding {
 impl ColumnarEncoding {
     /// Encode every column of `tuples` (positionally aligned with `schema`).
     ///
+    /// One row-major pass classifies every column and collects the keys of
+    /// the key columns; each key column is then coded from its keys by the
+    /// bitmap or the radix path, and only string, float, and mixed columns
+    /// read the row store again (see the module doc).
+    ///
     /// Emits `relation.encode` span metrics: per-column dictionary sizes into
     /// the `relation.encode.dict_entries` histogram, row/column totals, and
-    /// the number of radix passes spent building code columns — all
+    /// the number of radix counting passes run on key columns — all
     /// deterministic functions of the data.
     pub fn build(schema: &Schema, tuples: &[Tuple]) -> Self {
         let _span = obs::span("relation.encode");
         let arity = schema.arity();
-        let mut columns = Vec::with_capacity(arity);
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        let mut scratch: Vec<(u64, u32)> = Vec::new();
+        let n_rows = tuples.len();
         let mut radix_passes = 0u64;
-        for col in 0..arity {
-            let encoded = encode_column(tuples, col, &mut pairs, &mut scratch, &mut radix_passes);
+        let mut columns = Vec::with_capacity(arity);
+        for (col, scan) in scan_rows(arity, tuples).into_iter().enumerate() {
+            let encoded = match scan.path() {
+                ColumnPath::AllNull => EncodedColumn {
+                    dict: vec![Value::Null; n_rows.min(1)],
+                    codes: vec![0u32; n_rows],
+                },
+                ColumnPath::Comparison => {
+                    drop(scan); // its key buffer, before the sort allocates
+                    encode_by_comparison(tuples, col)
+                }
+                ColumnPath::Dense(class) => encode_dense(scan, class),
+                ColumnPath::Radix32(class) => {
+                    encode_radix(scan, class, |d| d as u32, &mut radix_passes)
+                }
+                ColumnPath::Radix64(class) => encode_radix(scan, class, |d| d, &mut radix_passes),
+            };
             obs::record("relation.encode.dict_entries", encoded.dict.len() as u64);
             columns.push(encoded);
         }
         obs::add("relation.encode.columns", arity as u64);
-        obs::add("relation.encode.rows", tuples.len() as u64);
+        obs::add("relation.encode.rows", n_rows as u64);
         obs::add("relation.encode.radix_passes", radix_passes);
-        ColumnarEncoding {
-            columns,
-            n_rows: tuples.len(),
-        }
+        ColumnarEncoding { columns, n_rows }
     }
 
     /// Number of encoded rows.
@@ -131,109 +156,236 @@ impl ColumnarEncoding {
     }
 }
 
-/// The radix key classes a homogeneous column can map onto.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// The value types whose order an `i64` key reproduces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KeyClass {
     Int,
     Date,
     Bool,
 }
 
-/// Order-preserving `u64` key for a non-null value of the given class
-/// (`i64`/`i32` order maps onto `u64` order by flipping the sign bit).
-#[inline]
-fn radix_key(value: &Value, class: KeyClass) -> u64 {
-    match (class, value) {
-        (KeyClass::Int, Value::Int(v)) => (*v as u64) ^ (1u64 << 63),
-        (KeyClass::Date, Value::Date(d)) => (*d as i64 as u64) ^ (1u64 << 63),
-        (KeyClass::Bool, Value::Bool(b)) => *b as u64,
-        _ => unreachable!("key class established by a full column scan"),
+impl KeyClass {
+    /// The value a key of this class stands for (the inverse of the key
+    /// taken in [`ColumnScan::push`]).
+    fn value(self, key: i64) -> Value {
+        match self {
+            KeyClass::Int => Value::Int(key),
+            KeyClass::Date => Value::Date(key as i32),
+            KeyClass::Bool => Value::Bool(key != 0),
+        }
     }
 }
 
-/// The key class of a single non-null value, if it has one.
-fn key_class(value: &Value) -> Option<KeyClass> {
-    match value {
-        Value::Int(_) => Some(KeyClass::Int),
-        Value::Date(_) => Some(KeyClass::Date),
-        Value::Bool(_) => Some(KeyClass::Bool),
-        _ => None,
+/// The row-major pass: every tuple is visited once, and each of its cells
+/// goes to its column's [`ColumnScan`].
+fn scan_rows(arity: usize, tuples: &[Tuple]) -> Vec<ColumnScan> {
+    let mut scans: Vec<ColumnScan> = (0..arity).map(|_| ColumnScan::new(tuples.len())).collect();
+    for (row, tuple) in (0u32..).zip(tuples) {
+        for (scan, value) in scans.iter_mut().zip(tuple) {
+            scan.push(row, value);
+        }
     }
+    scans
 }
 
-fn encode_column(
-    tuples: &[Tuple],
-    col: usize,
-    pairs: &mut Vec<(u64, u32)>,
-    scratch: &mut Vec<(u64, u32)>,
-    radix_passes: &mut u64,
-) -> EncodedColumn {
-    // A column qualifies for the radix path when every non-null value shares
-    // one key class — cross-class `u64` keys cannot reproduce the mixed-type
-    // `Value` order, and Float/Str stay on the comparison path.
-    let mut class: Option<KeyClass> = None;
-    let mut has_null = false;
-    let mut radixable = true;
-    for t in tuples {
-        match &t[col] {
-            Value::Null => has_null = true,
-            v => match (key_class(v), class) {
-                (Some(k), None) => class = Some(k),
-                (Some(k), Some(c)) if k == c => {}
-                _ => {
-                    radixable = false;
-                    break;
-                }
-            },
+/// One column's share of the row-major pass.
+struct ColumnScan {
+    /// `keys[row]` is the key of the cell at `row` when it has a key class
+    /// (left `0` otherwise).
+    keys: Vec<i64>,
+    /// The rows holding NULL, ascending.
+    nulls: Vec<u32>,
+    /// One bit per kind of non-null value seen (see [`ColumnScan::push`]).
+    seen: u8,
+    /// Smallest and largest key seen.
+    min: i64,
+    max: i64,
+}
+
+/// [`ColumnScan::seen`] bits for the three key classes and for everything
+/// else (floats and strings).
+const SEEN_INT: u8 = 1;
+const SEEN_DATE: u8 = 2;
+const SEEN_BOOL: u8 = 4;
+const SEEN_OTHER: u8 = 8;
+
+impl ColumnScan {
+    fn new(n_rows: usize) -> Self {
+        ColumnScan {
+            keys: vec![0; n_rows],
+            nulls: Vec::new(),
+            seen: 0,
+            min: i64::MAX,
+            max: i64::MIN,
         }
     }
-    match class {
-        Some(class) if radixable => {
-            encode_radix(tuples, col, class, has_null, pairs, scratch, radix_passes)
-        }
-        None if radixable => {
-            // All-NULL (or empty) column: one dictionary entry at most.
-            let dict = if has_null {
-                vec![Value::Null]
-            } else {
-                Vec::new()
-            };
-            EncodedColumn {
-                dict,
-                codes: vec![0u32; tuples.len()],
+
+    /// Take in the column's cell at `row`; rows arrive in ascending order.
+    /// The body is kept branch-light: which path the column takes is decided
+    /// once, from `seen`, after the pass.
+    #[inline]
+    fn push(&mut self, row: u32, value: &Value) {
+        let key = match *value {
+            Value::Int(v) => {
+                self.seen |= SEEN_INT;
+                v
             }
+            Value::Date(d) => {
+                self.seen |= SEEN_DATE;
+                i64::from(d)
+            }
+            Value::Bool(b) => {
+                self.seen |= SEEN_BOOL;
+                i64::from(b)
+            }
+            Value::Null => return self.nulls.push(row),
+            Value::Float(_) | Value::Str(_) => {
+                self.seen |= SEEN_OTHER;
+                return;
+            }
+        };
+        self.keys[row as usize] = key;
+        self.min = self.min.min(key);
+        self.max = self.max.max(key);
+    }
+
+    /// The path the column takes, decided from the kinds of value seen and,
+    /// for a key column, from its range `max − min` against its row count.
+    fn path(&self) -> ColumnPath {
+        let class = match self.seen {
+            0 => return ColumnPath::AllNull,
+            SEEN_INT => KeyClass::Int,
+            SEEN_DATE => KeyClass::Date,
+            SEEN_BOOL => KeyClass::Bool,
+            _ => return ColumnPath::Comparison,
+        };
+        let range = self.max.wrapping_sub(self.min) as u64;
+        if range < DENSE_RANGE_PER_ROW * self.keys.len() as u64 {
+            ColumnPath::Dense(class)
+        } else if range <= u64::from(u32::MAX) {
+            ColumnPath::Radix32(class)
+        } else {
+            ColumnPath::Radix64(class)
         }
-        _ => encode_by_comparison(tuples, col),
     }
 }
 
-/// Radix path: NULL rows keep code 0, non-null rows are sorted as
-/// `(u64 key, row)` pairs and runs of equal keys share a code.
-fn encode_radix(
-    tuples: &[Tuple],
-    col: usize,
-    class: KeyClass,
-    has_null: bool,
-    pairs: &mut Vec<(u64, u32)>,
-    scratch: &mut Vec<(u64, u32)>,
-    radix_passes: &mut u64,
-) -> EncodedColumn {
-    pairs.clear();
-    pairs.extend(tuples.iter().enumerate().filter_map(|(row, t)| {
-        let v = &t[col];
-        (!v.is_null()).then(|| (radix_key(v, class), row as u32))
-    }));
-    *radix_passes += u64::from(radix::sort_pairs(pairs, scratch));
-    let mut codes = vec![0u32; tuples.len()];
-    let mut dict = Vec::new();
-    if has_null {
+/// How a column is encoded once the row-major pass has seen all of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ColumnPath {
+    /// No non-null value (or no row at all): one dictionary entry at most.
+    AllNull,
+    /// Every non-null value has this key class and the range is dense
+    /// enough for a bitmap ([`DENSE_RANGE_PER_ROW`]).
+    Dense(KeyClass),
+    /// A sparser key column whose offsets from `min` fit 32 bits: radix-sort
+    /// `(u32, row)` pairs.
+    Radix32(KeyClass),
+    /// A key column with a range of 2^32 or more: radix-sort `(u64, row)`
+    /// pairs.
+    Radix64(KeyClass),
+    /// A float or string, or two key classes, whose `i64` keys cannot
+    /// reproduce the mixed-type `Value` order: sort the `Value`s.
+    Comparison,
+}
+
+/// A key column whose range is below this many values per row takes the
+/// dense path.  Its bitmap (`range / 8` bytes) and per-word counts
+/// (`range / 16` bytes) then stay under 12 bytes per row, less than the
+/// 16 bytes per row of the radix path's pair and scratch buffers.
+const DENSE_RANGE_PER_ROW: u64 = 64;
+
+/// Dense path: mark each key's offset from `min` in a bitmap over
+/// `0..=range`, count the marks before every 64-bit word, and read each
+/// row's code off the bitmap in row order — no sort, and the code column is
+/// written front to back.  The dictionary is the set bits in ascending order.
+fn encode_dense(scan: ColumnScan, class: KeyClass) -> EncodedColumn {
+    let ColumnScan {
+        mut keys,
+        nulls,
+        min,
+        max,
+        ..
+    } = scan;
+    let range = max.wrapping_sub(min) as u64;
+    // A NULL row's placeholder key becomes `min` so that every offset below
+    // is in range; the row's code is reset to 0 afterwards.
+    for &row in &nulls {
+        keys[row as usize] = min;
+    }
+    let mut bits = vec![0u64; (range / 64) as usize + 1];
+    for &key in &keys {
+        let off = key.wrapping_sub(min) as u64;
+        bits[(off / 64) as usize] |= 1 << (off % 64);
+    }
+    // `first_code[w]`: the code of the smallest key marked in word `w`.
+    let mut first_code = Vec::with_capacity(bits.len());
+    let mut next = u32::from(!nulls.is_empty());
+    for word in &bits {
+        first_code.push(next);
+        next += word.count_ones();
+    }
+    let mut codes: Vec<u32> = keys
+        .iter()
+        .map(|&key| {
+            let off = key.wrapping_sub(min) as u64;
+            let w = (off / 64) as usize;
+            first_code[w] + (bits[w] & ((1 << (off % 64)) - 1)).count_ones()
+        })
+        .collect();
+    drop(keys);
+    for &row in &nulls {
+        codes[row as usize] = 0;
+    }
+    let mut dict = Vec::with_capacity(next as usize);
+    if !nulls.is_empty() {
         dict.push(Value::Null);
     }
-    let mut prev_key: Option<u64> = None;
-    for &(key, row) in pairs.iter() {
-        if prev_key != Some(key) {
-            dict.push(tuples[row as usize][col].clone());
-            prev_key = Some(key);
+    for (w, &word) in (0i64..).zip(&bits) {
+        let mut rest = word;
+        while rest != 0 {
+            let off = w * 64 + i64::from(rest.trailing_zeros());
+            dict.push(class.value(min.wrapping_add(off)));
+            rest &= rest - 1;
+        }
+    }
+    EncodedColumn { dict, codes }
+}
+
+/// Radix path, for a key column too sparse for the dense path: NULL rows
+/// keep code 0, non-null rows are radix-sorted as `(key − min, row)` pairs
+/// (`offset` narrows the difference to the pair's key type), and each run of
+/// equal offsets takes the next code and one dictionary entry rebuilt from
+/// its key.
+fn encode_radix<K: RadixKey + Into<u64>>(
+    scan: ColumnScan,
+    class: KeyClass,
+    offset: impl Fn(u64) -> K,
+    radix_passes: &mut u64,
+) -> EncodedColumn {
+    let ColumnScan {
+        keys, nulls, min, ..
+    } = scan;
+    let n_rows = keys.len();
+    let mut pairs = Vec::with_capacity(n_rows - nulls.len());
+    let mut null_rows = nulls.iter().peekable();
+    for (row, &key) in (0u32..).zip(&keys) {
+        if null_rows.next_if_eq(&&row).is_none() {
+            pairs.push((offset(key.wrapping_sub(min) as u64), row));
+        }
+    }
+    drop(keys);
+    *radix_passes += u64::from(radix::sort_pairs(&mut pairs, &mut Vec::new()));
+    let mut codes = vec![0u32; n_rows];
+    let mut dict = Vec::new();
+    if !nulls.is_empty() {
+        dict.push(Value::Null);
+    }
+    let mut prev: Option<K> = None;
+    for &(off, row) in &pairs {
+        if prev != Some(off) {
+            dict.push(class.value(min.wrapping_add(off.into() as i64)));
+            prev = Some(off);
         }
         codes[row as usize] = (dict.len() - 1) as u32;
     }
@@ -309,18 +461,70 @@ mod tests {
         assert_valid_encoding(&tuples, &enc);
     }
 
+    fn paths(tuples: &[Tuple]) -> Vec<ColumnPath> {
+        let arity = tuples.first().map_or(0, Vec::len);
+        scan_rows(arity, tuples)
+            .iter()
+            .map(ColumnScan::path)
+            .collect()
+    }
+
     #[test]
-    fn negative_ints_dates_and_bools_take_the_radix_path() {
+    fn negative_ints_dates_and_bools_take_the_key_paths() {
         let tuples: Vec<Tuple> = vec![
-            vec![Value::Int(i64::MIN), Value::Date(-3), Value::Bool(true)],
-            vec![Value::Int(i64::MAX), Value::Date(7), Value::Bool(false)],
-            vec![Value::Int(0), Value::Null, Value::Bool(true)],
+            vec![
+                Value::Int(i64::MIN),
+                Value::Date(-3),
+                Value::Bool(true),
+                Value::Date(i32::MIN),
+            ],
+            vec![
+                Value::Int(i64::MAX),
+                Value::Date(7),
+                Value::Bool(false),
+                Value::Date(i32::MAX),
+            ],
+            vec![Value::Int(0), Value::Null, Value::Bool(true), Value::Null],
         ];
-        let enc = ColumnarEncoding::build(&schema(3), &tuples);
+        assert_eq!(
+            paths(&tuples),
+            [
+                ColumnPath::Radix64(KeyClass::Int),
+                ColumnPath::Dense(KeyClass::Date),
+                ColumnPath::Dense(KeyClass::Bool),
+                ColumnPath::Radix32(KeyClass::Date),
+            ]
+        );
+        let enc = ColumnarEncoding::build(&schema(4), &tuples);
         assert_eq!(enc.codes(0), &[0, 2, 1]);
         assert_eq!(enc.codes(1), &[1, 2, 0]);
         assert_eq!(enc.codes(2), &[1, 0, 1]);
+        assert_eq!(enc.codes(3), &[1, 2, 0]);
         assert_valid_encoding(&tuples, &enc);
+    }
+
+    #[test]
+    fn the_range_per_row_picks_dense_or_radix() {
+        // Two rows may span up to 127 values on the dense path.
+        let column = |hi: i64| vec![vec![Value::Int(-100)], vec![Value::Int(-100 + hi)]];
+        assert_eq!(paths(&column(127)), [ColumnPath::Dense(KeyClass::Int)]);
+        assert_eq!(paths(&column(128)), [ColumnPath::Radix32(KeyClass::Int)]);
+        assert_eq!(
+            paths(&column(u32::MAX as i64)),
+            [ColumnPath::Radix32(KeyClass::Int)]
+        );
+        assert_eq!(
+            paths(&column(1 << 32)),
+            [ColumnPath::Radix64(KeyClass::Int)]
+        );
+        for hi in [127, 128, u32::MAX as i64, 1 << 32] {
+            let mut tuples = column(hi);
+            tuples.push(vec![Value::Null]);
+            tuples.push(vec![Value::Int(-100 + hi / 2)]);
+            let enc = ColumnarEncoding::build(&schema(1), &tuples);
+            assert_eq!(enc.codes(0), &[1, 3, 0, 2]);
+            assert_valid_encoding(&tuples, &enc);
+        }
     }
 
     #[test]
@@ -331,6 +535,7 @@ mod tests {
             vec![Value::Null, Value::Float(f64::NAN), Value::Str("x".into())],
             vec![Value::Str("feb".into()), Value::Null, Value::Null],
         ];
+        assert_eq!(paths(&tuples), [ColumnPath::Comparison; 3]);
         let enc = ColumnarEncoding::build(&schema(3), &tuples);
         assert_valid_encoding(&tuples, &enc);
         // NULL still smallest on the comparison path; NaN sorts last.
@@ -341,6 +546,7 @@ mod tests {
     #[test]
     fn all_null_and_empty_columns() {
         let tuples: Vec<Tuple> = vec![vec![Value::Null], vec![Value::Null]];
+        assert_eq!(paths(&tuples), [ColumnPath::AllNull]);
         let enc = ColumnarEncoding::build(&schema(1), &tuples);
         assert_eq!(enc.codes(0), &[0, 0]);
         assert_eq!(enc.dict(0), &[Value::Null]);

@@ -71,10 +71,20 @@ impl Relation {
     /// code-path scans (and metric captures around later discovery runs see
     /// no construction-time `relation.encode` records).
     pub fn from_rows(schema: Schema, rows: impl IntoIterator<Item = Tuple>) -> Result<Self> {
-        let mut rel = Relation::new(schema);
-        for row in rows {
-            rel.push(row)?;
+        // `collect` sizes the tuple vector from the iterator's size hint up
+        // front, and takes over a `Vec`'s buffer without moving a tuple.
+        let tuples: Vec<Tuple> = rows.into_iter().collect();
+        if let Some(bad) = tuples.iter().find(|t| t.len() != schema.arity()) {
+            return Err(CoreError::ArityMismatch {
+                expected: schema.arity(),
+                actual: bad.len(),
+            });
         }
+        let rel = Relation {
+            schema,
+            tuples,
+            encoding: RwLock::new(None),
+        };
         rel.encoding();
         Ok(rel)
     }
@@ -331,6 +341,18 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.value(1, a), &Value::Int(4));
         assert_eq!(r.value(0, c), &Value::Int(3));
+        let (s, ..) = schema_abc();
+        let short = vec![
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+            vec![Value::Int(4)],
+        ];
+        assert_eq!(
+            Relation::from_rows(s, short).unwrap_err(),
+            CoreError::ArityMismatch {
+                expected: 3,
+                actual: 1
+            }
+        );
     }
 
     #[test]

@@ -180,3 +180,87 @@ proptest! {
         }
     }
 }
+
+/// The encoder columns, one per path of `ColumnarEncoding::build`, each drawn
+/// from one raw `u64` per row.  `with_nulls` turns about a quarter of the
+/// cells into NULL.
+const ENCODER_COLUMNS: usize = 8;
+
+fn encoder_cell(column: usize, raw: u64, last_row: bool, with_nulls: bool) -> Value {
+    if with_nulls && raw >> 62 == 0 {
+        return Value::Null;
+    }
+    match column {
+        // Int over more than 2^32 values, with both extremes: the `u64` radix path.
+        0 => match raw % 4 {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            _ => Value::Int(raw as i64),
+        },
+        // Narrow Int around zero: the dense path.
+        1 => Value::Int((raw % 101) as i64 - 50),
+        // Int spread over 2^32 values with repeats: the `u32` radix path.
+        2 => Value::Int(if raw.is_multiple_of(3) {
+            7
+        } else {
+            (raw >> 32) as i64 - (1 << 31)
+        }),
+        // Negative dates: the dense path.
+        3 => Value::Date((raw % 2001) as i32 - 1500),
+        // Dates over the whole `i32` range: the `u32` radix path.
+        4 => Value::Date(raw as i32),
+        5 => Value::Bool(raw.is_multiple_of(2)),
+        // Int until the last row holds a string: the comparison path.
+        6 if last_row => Value::Str(format!("s{}", raw % 3)),
+        6 => Value::Int((raw % 5) as i64),
+        // All NULL.
+        _ => Value::Null,
+    }
+}
+
+/// Strategy: a relation with every encoder column twice (without, then with
+/// NULLs) and 0 to 40 rows.
+fn encoder_relation_strategy() -> impl Strategy<Value = Relation> {
+    prop::collection::vec(
+        prop::collection::vec(0u64..u64::MAX, 2 * ENCODER_COLUMNS),
+        0..=40,
+    )
+    .prop_map(|raw| {
+        let mut schema = Schema::new("encoder");
+        for nulls in ["", "_nulls"] {
+            for c in 0..ENCODER_COLUMNS {
+                schema.add_attr(format!("c{c}{nulls}"));
+            }
+        }
+        let n = raw.len();
+        let rows = raw.into_iter().enumerate().map(|(row, cells)| {
+            cells
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    encoder_cell(i % ENCODER_COLUMNS, r, row + 1 == n, i >= ENCODER_COLUMNS)
+                })
+                .collect()
+        });
+        Relation::from_rows(schema, rows).expect("arity is fixed by construction")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every encoder path codes a column exactly as the comparison sort over
+    /// `Value`s does, and its dictionary is the column's sorted distinct values.
+    #[test]
+    fn encoder_paths_match_the_sort_oracle(rel in encoder_relation_strategy()) {
+        let enc = rel.encoding();
+        for attr in rel.schema().attr_ids() {
+            prop_assert_eq!(enc.codes(attr.index()), &rel.rank_column_by_sort(attr)[..]);
+            let mut distinct: Vec<Value> =
+                rel.tuples().iter().map(|t| t[attr.index()].clone()).collect();
+            distinct.sort();
+            distinct.dedup();
+            prop_assert_eq!(enc.dict(attr.index()), &distinct[..]);
+        }
+    }
+}

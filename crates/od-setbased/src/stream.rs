@@ -24,12 +24,12 @@
 //!   ids are stable and never reused) and one live partition per monitored
 //!   context, keyed by the context's **projected values** (stable under code
 //!   renumbering, unlike code tuples).  Class member lists stay sorted by id
-//!   for free: fresh ids only ever grow, and deletes use a filtering pass.
+//!   for free: fresh ids only ever grow, and deletes are binary-searched out.
 //! * [`VerdictLedger`] — per monitored statement, a per-class incremental
 //!   state plus the statement's running removal total.  Constancy classes
 //!   keep a value-count multiset with an `O(1)`-amortized max-group tracker,
-//!   so a touched row costs `O(1)`.  Compatibility classes keep the class
-//!   **pre-sorted** by `(code_A, code_B, id)` and patch it with a single
+//!   so a touched row costs `O(1)`.  Compatibility classes keep the class's
+//!   ids **pre-sorted** by `(code_A, code_B, id)` and patch them with a single
 //!   filter-merge pass — never a re-sort; a swap-free class is then verified
 //!   with one linear non-decreasing-`B` scan, and the `O(k log k)` LIS pass
 //!   runs only on classes that actually violate.
@@ -461,6 +461,14 @@ struct ClassDelta {
 /// Per-partition map of touched classes for one delta.
 type TouchedClasses = HashMap<Vec<Value>, ClassDelta>;
 
+/// One touched class the ledgers over its partition must patch (it has, or
+/// had, two or more members), with its members after the splice.
+struct PatchTarget<'a> {
+    key: &'a [Value],
+    class: Option<&'a [TupleId]>,
+    delta: &'a ClassDelta,
+}
+
 /// Incrementally maintained per-class evidence for one ledger.
 ///
 /// Both variants carry a `version` — the relevant columns' renumber counters
@@ -475,16 +483,18 @@ enum ClassState {
     Constancy {
         /// code → multiplicity.
         counts: HashMap<u64, usize>,
-        /// multiplicity → number of codes at that multiplicity.
-        freq: HashMap<usize, usize>,
+        /// `freq[m]`: the number of codes at multiplicity `m`.
+        freq: Vec<usize>,
         max_count: usize,
         size: usize,
         version: usize,
     },
-    /// Compatibility `𝒞 : A ~ B`: the class pre-sorted by
+    /// Compatibility `𝒞 : A ~ B`: the class's ids pre-sorted by
     /// `(code_A, code_B, id)`, patched by filter-merge (never re-sorted).
+    /// Only ids are kept — the codes are read back from the columns — so a
+    /// merge moves 4 bytes per member.
     Compatibility {
-        sorted: Vec<(u64, u64, TupleId)>,
+        sorted: Vec<TupleId>,
         removal: usize,
         version: usize,
     },
@@ -510,37 +520,40 @@ impl ClassState {
 
     fn constancy_add(
         counts: &mut HashMap<u64, usize>,
-        freq: &mut HashMap<usize, usize>,
+        freq: &mut Vec<usize>,
         max_count: &mut usize,
         code: u64,
     ) {
         let entry = counts.entry(code).or_insert(0);
         if *entry > 0 {
-            dec_freq(freq, *entry);
+            freq[*entry] -= 1;
         }
         *entry += 1;
-        *freq.entry(*entry).or_insert(0) += 1;
+        if freq.len() <= *entry {
+            freq.resize(*entry + 1, 0);
+        }
+        freq[*entry] += 1;
         *max_count = (*max_count).max(*entry);
     }
 
     fn constancy_remove(
         counts: &mut HashMap<u64, usize>,
-        freq: &mut HashMap<usize, usize>,
+        freq: &mut [usize],
         max_count: &mut usize,
         code: u64,
     ) {
         let entry = counts.get_mut(&code).expect("removing a tracked code");
         let old = *entry;
-        dec_freq(freq, old);
+        freq[old] -= 1;
         if old > 1 {
             *entry = old - 1;
-            *freq.entry(old - 1).or_insert(0) += 1;
+            freq[old - 1] += 1;
         } else {
             counts.remove(&code);
         }
         // One multiplicity dropped by exactly one: the max can fall by at most
         // one, and does so iff no other code still sits at the old max.
-        if old == *max_count && freq.get(&old).copied().unwrap_or(0) == 0 {
+        if old == *max_count && freq[old] == 0 {
             *max_count = old - 1;
         }
     }
@@ -551,12 +564,16 @@ impl ClassState {
     /// `O(k log k)` LIS tails pass only when it actually violates.  The
     /// boolean reports whether the LIS pass actually ran (the cost metric
     /// behind [`StreamStats::lis_invocations`]).
-    fn compat_removal(sorted: &[(u64, u64, TupleId)]) -> (usize, bool) {
-        if sorted.windows(2).all(|w| w[0].1 <= w[1].1) {
+    fn compat_removal(sorted: &[TupleId], cb: &[u64]) -> (usize, bool) {
+        if sorted
+            .windows(2)
+            .all(|w| cb[w[0] as usize] <= cb[w[1] as usize])
+        {
             return (0, false);
         }
         let mut tails: Vec<u64> = Vec::new();
-        for &(_, b, _) in sorted {
+        for &id in sorted {
+            let b = cb[id as usize];
             let pos = tails.partition_point(|&t| t <= b);
             if pos == tails.len() {
                 tails.push(b);
@@ -613,16 +630,12 @@ impl ClassState {
                 // the sorted order: binary-search each event's position and
                 // bulk-copy (memcpy) the untouched runs between them, instead
                 // of walking all k elements.
-                let mut events: Vec<(u64, u64, TupleId, bool)> = delta
+                let key = |id: TupleId| (ca[id as usize], cb[id as usize], id);
+                let mut events: Vec<((u64, u64, TupleId), bool)> = delta
                     .added
                     .iter()
-                    .map(|&row| (ca[row as usize], cb[row as usize], row, true))
-                    .chain(
-                        delta
-                            .removed
-                            .iter()
-                            .map(|&row| (ca[row as usize], cb[row as usize], row, false)),
-                    )
+                    .map(|&row| (key(row), true))
+                    .chain(delta.removed.iter().map(|&row| (key(row), false)))
                     .collect();
                 events.sort_unstable();
                 let mut merged =
@@ -631,17 +644,18 @@ impl ClassState {
                 let was_clean = *removal == 0;
                 let mut inserted_at = Vec::new();
                 let mut src = 0usize;
-                for (a, b, row, is_insert) in events {
-                    let pos = src + sorted[src..].partition_point(|&t| t < (a, b, row));
+                for (event, is_insert) in events {
+                    let pos = src + sorted[src..].partition_point(|&id| key(id) < event);
                     merged.extend_from_slice(&sorted[src..pos]);
+                    let row = event.2;
                     if is_insert {
                         if was_clean {
                             inserted_at.push(merged.len());
                         }
-                        merged.push((a, b, row));
+                        merged.push(row);
                         src = pos;
                     } else {
-                        debug_assert_eq!(sorted.get(pos), Some(&(a, b, row)));
+                        debug_assert_eq!(sorted.get(pos), Some(&row));
                         src = pos + 1;
                     }
                 }
@@ -651,7 +665,8 @@ impl ClassState {
                 // A clean class has a non-decreasing B sequence.  Deletes keep
                 // it so; only the pairs an insert joins can break it, so
                 // checking those replaces the full scan.
-                let b_ordered = |i: usize| i == 0 || sorted[i - 1].1 <= sorted[i].1;
+                let b_ordered =
+                    |i: usize| i == 0 || cb[sorted[i - 1] as usize] <= cb[sorted[i] as usize];
                 let (new_removal, lis_ran) = if was_clean
                     && inserted_at
                         .iter()
@@ -659,7 +674,7 @@ impl ClassState {
                 {
                     (0, false)
                 } else {
-                    ClassState::compat_removal(sorted)
+                    ClassState::compat_removal(sorted, cb)
                 };
                 *removal = new_removal;
                 PatchEffort {
@@ -673,13 +688,21 @@ impl ClassState {
     }
 }
 
-fn dec_freq(freq: &mut HashMap<usize, usize>, multiplicity: usize) {
-    if let Some(f) = freq.get_mut(&multiplicity) {
-        *f -= 1;
-        if *f == 0 {
-            freq.remove(&multiplicity);
-        }
+/// Remove the ascending ids `doomed`, every one a member, from the ascending
+/// `class`: a binary search finds each, and each run of survivors between
+/// two of them moves once.
+fn remove_sorted(class: &mut Vec<TupleId>, doomed: &[TupleId]) {
+    let (mut read, mut write) = (0, 0);
+    for &id in doomed {
+        let pos = read + class[read..].partition_point(|&member| member < id);
+        debug_assert_eq!(class.get(pos), Some(&id), "doomed ids are members");
+        class.copy_within(read..pos, write);
+        write += pos - read;
+        read = pos + 1;
     }
+    let tail = class.len() - read;
+    class.copy_within(read.., write);
+    class.truncate(write + tail);
 }
 
 /// The delta-maintained verdict of one monitored canonical statement:
@@ -793,7 +816,7 @@ impl VerdictLedger {
             SetOd::Constancy { attr, .. } => {
                 let codes = columns[attr].codes();
                 let mut counts = HashMap::new();
-                let mut freq = HashMap::new();
+                let mut freq = Vec::new();
                 let mut max_count = 0;
                 for &row in class {
                     ClassState::constancy_add(
@@ -821,12 +844,9 @@ impl VerdictLedger {
             SetOd::Compatibility { a, b, .. } => {
                 let ca = columns[a].codes();
                 let cb = columns[b].codes();
-                let mut sorted: Vec<(u64, u64, TupleId)> = class
-                    .iter()
-                    .map(|&row| (ca[row as usize], cb[row as usize], row))
-                    .collect();
-                sorted.sort_unstable();
-                let (removal, lis_ran) = ClassState::compat_removal(&sorted);
+                let mut sorted = class.to_vec();
+                sorted.sort_unstable_by_key(|&id| (ca[id as usize], cb[id as usize], id));
+                let (removal, lis_ran) = ClassState::compat_removal(&sorted, cb);
                 (
                     ClassState::Compatibility {
                         sorted,
@@ -843,29 +863,19 @@ impl VerdictLedger {
         }
     }
 
-    /// Apply every touched class of this ledger's partition.  Returns the
-    /// number of class patches performed and the work they cost.
+    /// Apply every class of this ledger's partition that the delta touched
+    /// and that has, or had, two members.  Returns the number of class
+    /// patches performed and the work they cost.
     fn patch(
         &mut self,
-        touched: &TouchedClasses,
-        partition: &LivePartition,
+        targets: &[PatchTarget],
         columns: &HashMap<AttrId, StreamCodes>,
     ) -> (usize, PatchEffort) {
-        let mut patches = 0;
         let mut effort = PatchEffort::default();
-        for (key, delta) in touched {
-            if delta.was_len < 2 && delta.now_len < 2 {
-                continue; // never tracked, still nothing to track
-            }
-            patches += 1;
-            effort.absorb(self.patch_class(
-                key,
-                partition.classes.get(key).map(|c| c.as_slice()),
-                delta,
-                columns,
-            ));
+        for target in targets {
+            effort.absorb(self.patch_class(target.key, target.class, target.delta, columns));
         }
-        (patches, effort)
+        (targets.len(), effort)
     }
 }
 
@@ -912,11 +922,6 @@ pub struct StreamMonitor {
     partition_index: HashMap<AttrSet, usize>,
     ledgers: Vec<VerdictLedger>,
     ledger_index: HashMap<SetOd, usize>,
-    /// Reusable per-batch "deleted by this batch" bitmap, indexed by tuple
-    /// id.  Grown (never shrunk) to the id space once, with only the bits a
-    /// batch sets cleared afterwards — so each delta pays O(batch), not
-    /// O(lifetime ids), for its membership tests.
-    deleted_scratch: Vec<bool>,
     threads: usize,
     /// Lifetime maintenance counters.
     pub stats: StreamStats,
@@ -937,7 +942,6 @@ impl StreamMonitor {
             partition_index: HashMap::new(),
             ledgers: Vec::new(),
             ledger_index: HashMap::new(),
-            deleted_scratch: Vec::new(),
             threads: threads.max(1),
             stats: StreamStats::default(),
         }
@@ -1145,21 +1149,13 @@ impl StreamMonitor {
             self.alive_count += 1;
             inserted.push(id);
         }
-        // O(1) membership test for "deleted by this batch", shared by every
-        // filtering pass below (a per-class `HashSet` would pay a hash per
-        // surviving member — this is the hot loop of large touched classes).
-        self.deleted_scratch.resize(self.rows.len(), false);
-        for &id in &batch.deletes {
-            self.deleted_scratch[id as usize] = true;
-        }
-
         // Phase 2: group the delta per partition per class and splice the
         // class member lists with one filtering/extending pass each.
         let splice_span = obs::span("splice");
+        let mut touched_sizes = Vec::new();
         let mut touched: Vec<TouchedClasses> = Vec::with_capacity(self.partitions.len());
         let mut touched_rows = 0usize;
         let rows = &self.rows;
-        let deleted_mark = &self.deleted_scratch;
         for partition in &mut self.partitions {
             let mut changes = TouchedClasses::new();
             for &id in &batch.deletes {
@@ -1184,11 +1180,12 @@ impl StreamMonitor {
                 };
                 delta.was_len = class.len();
                 if !delta.removed.is_empty() {
-                    class.retain(|id| !deleted_mark[*id as usize]);
+                    delta.removed.sort_unstable();
+                    remove_sorted(class, &delta.removed);
                 }
                 class.extend(&delta.added); // fresh ids grow: order is kept
                 delta.now_len = class.len();
-                obs::record("stream.touched_class_size", delta.now_len as u64);
+                touched_sizes.push(delta.now_len as u64);
                 if class.is_empty() {
                     partition.classes.remove(key);
                 } else {
@@ -1197,6 +1194,7 @@ impl StreamMonitor {
             }
             touched.push(changes);
         }
+        obs::record_all("stream.touched_class_size", &touched_sizes);
         drop(splice_span);
 
         // Phase 3: patch every ledger's touched classes.  Ledgers are
@@ -1214,10 +1212,26 @@ impl StreamMonitor {
         let rows_patched = AtomicUsize::new(0);
         let splice_events = AtomicUsize::new(0);
         let lis_invocations = AtomicUsize::new(0);
+        // Each touched class a ledger must patch, with its spliced members,
+        // looked up once per partition rather than once per ledger.
+        let to_patch: Vec<Vec<PatchTarget>> = touched
+            .iter()
+            .zip(&self.partitions)
+            .map(|(changes, partition)| {
+                changes
+                    .iter()
+                    .filter(|(_, delta)| delta.was_len >= 2 || delta.now_len >= 2)
+                    .map(|(key, delta)| PatchTarget {
+                        key,
+                        class: partition.classes.get(key).map(Vec::as_slice),
+                        delta,
+                    })
+                    .collect()
+            })
+            .collect();
         {
-            let partitions = &self.partitions;
             let columns = &self.columns;
-            let touched = &touched;
+            let to_patch = &to_patch;
             let recomputed = &recomputed;
             let rows_patched = &rows_patched;
             let splice_events = &splice_events;
@@ -1226,10 +1240,10 @@ impl StreamMonitor {
                 let Some(pidx) = ledger.partition else {
                     return; // trivial statement: nothing can perturb it
                 };
-                if touched[pidx].is_empty() {
+                if to_patch[pidx].is_empty() {
                     return;
                 }
-                let (patches, effort) = ledger.patch(&touched[pidx], &partitions[pidx], columns);
+                let (patches, effort) = ledger.patch(&to_patch[pidx], columns);
                 recomputed.fetch_add(patches, Ordering::Relaxed);
                 rows_patched.fetch_add(effort.rows, Ordering::Relaxed);
                 splice_events.fetch_add(effort.splices, Ordering::Relaxed);
@@ -1247,10 +1261,6 @@ impl StreamMonitor {
             touched_classes: touched.iter().map(|t| t.len()).sum(),
             recomputed_classes: recomputed.into_inner(),
         };
-        // Clear only the bits this batch set (see `deleted_scratch`).
-        for &id in &batch.deletes {
-            self.deleted_scratch[id as usize] = false;
-        }
         self.stats.deltas_applied += 1;
         self.stats.rows_inserted += summary.inserted.len();
         self.stats.rows_deleted += summary.deleted;
